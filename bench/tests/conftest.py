@@ -1,0 +1,13 @@
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parent
+sys.path[:0] = [str(BENCH), str(ROOT / "src")]
+
+
+@pytest.fixture(scope="session")
+def root() -> Path:
+    return ROOT
