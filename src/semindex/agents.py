@@ -213,7 +213,6 @@ def run_pipeline(kb: KnowledgeBase, corpus, config: PipelineConfig):
     """
     board = Blackboard()
     known = set(kb.canonical_classes)
-    postings = {}  # canonical -> doc ids, newest first
     results = []
     for doc in corpus:
         term_map = process_document(kb, doc)
@@ -235,8 +234,6 @@ def run_pipeline(kb: KnowledgeBase, corpus, config: PipelineConfig):
         if routing is not Routing.DISCARD:
             board.append(BlackboardEntry(doc.id, routing, doc.year, indexed.accepted_counts()))
             known |= doc_terms
-            for term in term_map:
-                postings.setdefault(term, []).insert(0, doc.id)
             if config.blackboard_path is not None:
                 write_blackboard(board, config.blackboard_path)
     return results, board

@@ -129,7 +129,6 @@ def _load_corpus(config: Config):
 
 
 def cmd_index(config: Config) -> None:
-    parse_level(config.level)  # validate, pragmatic is rejected here
     if parse_level(config.level) is lexicon.ExtractionLevel.PRAGMATIC:
         raise SemindexError("pragmatic level is declared but unimplemented")
     kb = kbmod.load_kb(config.kb_path)
@@ -163,6 +162,8 @@ def cmd_cluster(config: Config) -> None:
 
 
 def cmd_export(config: Config, term: str = "") -> None:
+    if "/" in term or term in (".", ".."):
+        raise SemindexError(f"--term {term!r} cannot be part of a file name")
     out = Path(config.out_dir)
     _, matrix = _matrix_from_store(config)
     if term:

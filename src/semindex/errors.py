@@ -51,7 +51,7 @@ class ZeroDegree(SemindexError):
 
 class NoConvergence(SemindexError):
     def __init__(self, residual: float):
-        super().__init__(f"iteration budget exhausted, attained residual {residual:.3e}")
+        super().__init__(f"singular pairs not resolved, attained residual {residual:.3e}")
         self.residual = residual
 
 
@@ -69,6 +69,14 @@ class TooLarge(SemindexError):
 
 # graphs
 class UnknownNode(SemindexError):
+    pass
+
+
+class MalformedPajek(SemindexError):
+    pass
+
+
+class UnwritableLabel(SemindexError):
     pass
 
 

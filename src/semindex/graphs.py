@@ -12,12 +12,11 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+import scipy.sparse as sp
+
 from .cocluster import CoClustering, TermDocMatrix
-from .errors import SemindexError, UnknownNode, UnknownTerm
-
-
-class MalformedPajek(SemindexError):
-    pass
+from .errors import MalformedPajek, UnknownNode, UnknownTerm, UnwritableLabel
 
 
 class CombineMode(Enum):
@@ -34,50 +33,47 @@ class TermGraph:
         return tuple(label for label, _ in self.nodes)
 
 
-def ego_network(m: TermDocMatrix, term: str, radius: int = 1) -> TermGraph:
+def ego_network(m: TermDocMatrix, term: str) -> TermGraph:
     """Star of terms sharing at least one document with the center term."""
-    if radius != 1:
-        raise ValueError("only radius-1 ego networks are supported")
     if term not in m.terms:
         raise UnknownTerm(f"{term!r} is not a matrix row")
-    dense = m.A.toarray()
+    present = m.A > 0
     center = m.terms.index(term)
-    support = {m.docs[j] for j in range(len(m.docs)) if dense[center, j] > 0}
-    nodes = [(term, frozenset(support))]
+    support = present[center].indices
+    shared = present[:, support].tocsr()  # terms x the center's documents
+    nodes = [(term, frozenset(m.docs[j] for j in support))]
     edges = []
-    for i, other in enumerate(m.terms):
-        if i == center:
-            continue
-        shared = {m.docs[j] for j in range(len(m.docs)) if dense[i, j] > 0 and m.docs[j] in support}
-        if shared:
-            edges.append((0, len(nodes), float(len(shared))))
-            nodes.append((other, frozenset(shared)))
+    for i in np.flatnonzero(np.diff(shared.indptr)):
+        if i != center:
+            cols = support[shared.indices[shared.indptr[i]:shared.indptr[i + 1]]]
+            edges.append((0, len(nodes), float(len(cols))))
+            nodes.append((m.terms[i], frozenset(m.docs[j] for j in cols)))
     return TermGraph(tuple(nodes), tuple(edges))
+
+
+def _membership(labels, clusters) -> sp.csr_matrix:
+    """Indicator matrix: row per label, column per cluster."""
+    pos = {x: i for i, x in enumerate(labels)}
+    cells = [(pos[x], c) for c, members in enumerate(clusters) for x in members if x in pos]
+    rows, cols = np.array(cells, dtype=int).reshape(-1, 2).T
+    return sp.csr_matrix((np.ones(len(cells)), (rows, cols)), shape=(len(labels), len(clusters)))
 
 
 def cluster_graph(m: TermDocMatrix, cc: CoClustering) -> TermGraph:
     """One node per co-cluster; edge weight = cross-cluster matrix mass."""
-    dense = m.A.toarray()
-    term_pos = {t: i for i, t in enumerate(m.terms)}
-    doc_pos = {d: j for j, d in enumerate(m.docs)}
     nodes = tuple(
         (f"cluster-{i + 1}", frozenset(cc.doc_clusters[i])) for i in range(cc.k)
     )
-    edges = []
-    for a in range(cc.k):
-        rows = [term_pos[t] for t in cc.word_clusters[a] if t in term_pos]
-        for b in range(cc.k):
-            if b <= a:
-                continue
-            cols = [doc_pos[d] for d in cc.doc_clusters[b] if d in doc_pos]
-            mass = float(dense[rows][:, cols].sum()) if rows and cols else 0.0
-            rows_b = [term_pos[t] for t in cc.word_clusters[b] if t in term_pos]
-            cols_a = [doc_pos[d] for d in cc.doc_clusters[a] if d in doc_pos]
-            if rows_b and cols_a:
-                mass += float(dense[rows_b][:, cols_a].sum())
-            if mass > 0:
-                edges.append((a, b, mass))
-    return TermGraph(nodes, tuple(edges))
+    # mass[a, b]: matrix mass of word cluster a over document cluster b
+    mass = _membership(m.terms, cc.word_clusters).T @ m.A @ _membership(m.docs, cc.doc_clusters)
+    cross = (mass + mass.T).toarray()
+    edges = tuple(
+        (a, b, float(cross[a, b]))
+        for a in range(cc.k)
+        for b in range(a + 1, cc.k)
+        if cross[a, b] > 0
+    )
+    return TermGraph(nodes, edges)
 
 
 def combine_nodes(g: TermGraph, a: str, b: str, mode: CombineMode) -> TermGraph:
@@ -130,7 +126,7 @@ def export_pajek(g: TermGraph, path) -> None:
     lines = [f"*Vertices {len(g.nodes)}"]
     for i, (label, _) in enumerate(g.nodes, start=1):
         if '"' in label:
-            raise ValueError(f"label {label!r} contains a double quote")
+            raise UnwritableLabel(f"label {label!r} contains a double quote")
         lines.append(f'{i} "{label}"')
     lines.append("*Edges")
     for u, v, w in g.edges:
@@ -138,6 +134,7 @@ def export_pajek(g: TermGraph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+_HEADER_RE = re.compile(r"^\*Vertices (\d+)$")
 _VERTEX_RE = re.compile(r'^(\d+) "(.*)"$')
 _EDGE_RE = re.compile(r"^(\d+) (\d+) (\S+)$")
 
@@ -145,9 +142,12 @@ _EDGE_RE = re.compile(r"^(\d+) (\d+) (\S+)$")
 def parse_pajek(path) -> TermGraph:
     """Read back a Pajek file written by export_pajek (payloads are lost)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("*Vertices "):
-        raise MalformedPajek(f"{path}: missing *Vertices header")
-    count = int(lines[0].split()[1])
+    header = _HEADER_RE.match(lines[0]) if lines else None
+    if not header:
+        raise MalformedPajek(f"{path}: missing or bad *Vertices header")
+    count = int(header.group(1))
+    if len(lines) <= count:
+        raise MalformedPajek(f"{path}: *Vertices {count} but {len(lines) - 1} lines follow")
     nodes = []
     pos = 1
     for _ in range(count):

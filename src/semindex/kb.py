@@ -58,10 +58,6 @@ class KnowledgeBase:
     abbreviations: dict  # surface -> expansion
     canonical_classes: dict = field(default_factory=dict)  # canonical -> class_id
 
-    @property
-    def canonicals(self) -> set:
-        return set(self.canonical_classes)
-
 
 def _check_word(word, what: str) -> str:
     if not isinstance(word, str) or not word:

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -73,6 +74,33 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "UnknownTerm" in err
+
+
+def test_export_label_with_quote_is_domain_error(tmp_path, capsys):
+    docs = tmp_path / "docs"
+    shutil.copytree(MINI / "docs", docs)
+    for name in ("d01.txt", "d02.txt"):
+        with (docs / name).open("a", encoding="utf-8") as f:
+            f.write('Dockers don"t rest.\n')
+    out = tmp_path / "out"
+    assert run_cli("index", "--config", CONFIG, "--corpus_dir", str(docs), "--out_dir", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("export", "--config", CONFIG, "--out_dir", str(out), "--term", "port") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: errors.UnwritableLabel: ")
+    assert not (out / "ego_port.net").exists()
+
+
+@pytest.mark.parametrize("term", ["and/or", ".", ".."])
+def test_export_term_must_fit_a_file_name(tmp_path, capsys, term):
+    out = tmp_path / "out"
+    assert run_cli("index", "--config", CONFIG, "--out_dir", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("export", "--config", CONFIG, "--out_dir", str(out), "--term", term) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: errors.SemindexError: ")
 
 
 def test_usage_error_exit_code():

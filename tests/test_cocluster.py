@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from semindex import cocluster as cc
 from semindex.cocluster import (
+    TermDocMatrix,
     assign_doc_clusters,
     assign_word_clusters,
     brute_force_min_ratio_cut,
@@ -110,6 +112,109 @@ def test_singular_pairs_residuals_and_orthogonality():
     gram_v = V.T @ V - np.eye(3)
     assert np.max(np.abs(gram_u)) <= 1e-8
     assert np.max(np.abs(gram_v)) <= 1e-8
+
+
+def _assert_singular_pairs(An, sigmas, U, V):
+    assert sigmas[0] == 1.0
+    assert (np.diff(sigmas) <= 1e-12).all()  # largest first
+    assert np.max(np.abs(An @ V - U * sigmas)) <= 1e-8
+    assert np.max(np.abs(An.T @ U - V * sigmas)) <= 1e-8
+    n = len(sigmas)
+    assert np.max(np.abs(U.T @ U - np.eye(n))) <= 1e-8
+    assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-8
+
+
+def _cyclic_copies():
+    """Four term-renamed copies of one block, each linked to the next by one
+    count, with one entry nudged by 1e-3: sigma3 / sigma2 = 1 - 2e-7."""
+    rng = np.random.default_rng(8)
+    block = rng.integers(1, 5, size=(5, 4))
+    counts = {}
+    for c in range(4):
+        for i in range(5):
+            for j in range(4):
+                counts[(f"t{c}_{i}", f"d{c}_{j}")] = float(block[i, j])
+        counts[(f"t{(c + 1) % 4}_0", f"d{c}_0")] = 1.0
+    counts[("t0_1", "d0_1")] += 1e-3
+    terms = [f"t{c}_{i}" for c in range(4) for i in range(5)]
+    docs = [f"d{c}_{j}" for c in range(4) for j in range(4)]
+    return matrix_from_counts(counts, terms, docs)
+
+
+def test_singular_pairs_near_degenerate_spectrum():
+    m = _cyclic_copies()
+    An = normalize_matrix(m)
+    dense = np.linalg.svd(An.toarray(), compute_uv=False)
+    assert 1 - 1e-6 < dense[2] / dense[1] < 1
+    sigmas, U, V = cc._singular_pairs(An, m.row_degrees, m.col_degrees, 3)
+    _assert_singular_pairs(An, sigmas, U, V)
+    assert sigmas == pytest.approx(dense[:3], abs=1e-12)
+    first = spectral_embed(An, m.row_degrees, m.col_degrees, 4)
+    second = spectral_embed(An, m.row_degrees, m.col_degrees, 4)
+    assert (first == second).all()
+
+
+def test_singular_pairs_disconnected_graph():
+    rng = np.random.default_rng(4)
+    counts, terms, docs = {}, [], []
+    for b, (w, d) in enumerate([(3, 2), (4, 3), (2, 4)]):
+        terms += [f"w{b}_{i}" for i in range(w)]
+        docs += [f"d{b}_{j}" for j in range(d)]
+        for i in range(w):
+            for j in range(d):
+                counts[(f"w{b}_{i}", f"d{b}_{j}")] = int(rng.integers(1, 6))
+    m = matrix_from_counts(counts, terms, docs)
+    An = normalize_matrix(m)
+    sigmas, U, V = cc._singular_pairs(An, m.row_degrees, m.col_degrees, 3)
+    assert sigmas == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
+    _assert_singular_pairs(An, sigmas, U, V)
+    first = cocluster(m, 3, seed=0)
+    second = cocluster(m, 3, seed=0)
+    assert (first.embedding == second.embedding).all()
+    assert set(first.doc_clusters) == {
+        frozenset(d for d in docs if d.startswith(f"d{b}_")) for b in range(3)
+    }
+
+
+def test_singular_pairs_below_requested_rank():
+    # rank 1: the pairs after the trivial one have sigma = 0
+    m = matrix_from_counts(
+        {(w, d): 1 for w in ("w1", "w2", "w3") for d in ("d1", "d2", "d3")},
+        ["w1", "w2", "w3"],
+        ["d1", "d2", "d3"],
+    )
+    An = normalize_matrix(m)
+    sigmas, U, V = cc._singular_pairs(An, m.row_degrees, m.col_degrees, 3)
+    assert sigmas[1:] == pytest.approx([0.0, 0.0], abs=1e-12)
+    _assert_singular_pairs(An, sigmas, U, V)
+
+
+def _large_matrix(w, d, density):
+    rng = np.random.default_rng(1)
+    A = sp.random(w, d, density=density, random_state=rng, format="csr",
+                  data_rvs=lambda n: rng.integers(1, 6, n).astype(float))
+    n = max(w, d)  # a diagonal band leaves no row or column empty
+    A = (A + sp.csr_matrix((np.ones(n), (np.arange(n) % w, np.arange(n) % d)), shape=(w, d))).tocsr()
+    degrees = np.asarray(A.sum(axis=1)).ravel(), np.asarray(A.sum(axis=0)).ravel()
+    return TermDocMatrix(A, tuple(range(w)), tuple(range(d)), *degrees)
+
+
+@pytest.mark.parametrize(
+    "w, d, density, npairs",
+    [
+        (400, 3000, 0.01, 3),  # ARPACK, wide
+        (3000, 400, 0.01, 4),  # ARPACK, tall
+        (2, (1 << 19) + 1, 0.3, 2),  # too few rows for ARPACK: dense
+    ],
+)
+def test_singular_pairs_above_dense_cutoff(w, d, density, npairs):
+    assert w * d > cc._DENSE_ENTRIES
+    m = _large_matrix(w, d, density)
+    An = normalize_matrix(m)
+    sigmas, U, V = cc._singular_pairs(An, m.row_degrees, m.col_degrees, npairs)
+    dense = np.linalg.svd(An.toarray(), compute_uv=False)
+    assert sigmas == pytest.approx(dense[:npairs], abs=1e-10)
+    _assert_singular_pairs(An, sigmas, U, V)
 
 
 def test_kmeans_single_cluster():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from semindex.cocluster import matrix_from_counts
-from semindex.errors import UnknownNode, UnknownTerm
+from semindex.cocluster import CoClustering, matrix_from_counts
+from semindex.errors import MalformedPajek, UnknownNode, UnknownTerm
 from semindex.graphs import (
     CombineMode,
     TermGraph,
+    cluster_graph,
     combine_nodes,
     ego_network,
     export_pajek,
@@ -62,6 +63,72 @@ def test_ego_weights_symmetric():
     w12 = next(w for u, v, w in g1.edges if g1.nodes[v][0] == "w2")
     w21 = next(w for u, v, w in g2.edges if g2.nodes[v][0] == "w1")
     assert w12 == w21
+
+
+def dense_ego_network(m, term):
+    """Reference: the ego network written out over the dense matrix."""
+    dense = m.A.toarray()
+    center = m.terms.index(term)
+    support = {m.docs[j] for j in range(len(m.docs)) if dense[center, j] > 0}
+    nodes = [(term, frozenset(support))]
+    edges = []
+    for i, other in enumerate(m.terms):
+        if i == center:
+            continue
+        shared = {m.docs[j] for j in range(len(m.docs)) if dense[i, j] > 0 and m.docs[j] in support}
+        if shared:
+            edges.append((0, len(nodes), float(len(shared))))
+            nodes.append((other, frozenset(shared)))
+    return TermGraph(tuple(nodes), tuple(edges))
+
+
+def dense_cluster_graph(m, cc):
+    """Reference: cross-cluster mass summed block by block over the dense matrix."""
+    dense = m.A.toarray()
+    term_pos = {t: i for i, t in enumerate(m.terms)}
+    doc_pos = {d: j for j, d in enumerate(m.docs)}
+    nodes = tuple((f"cluster-{i + 1}", frozenset(cc.doc_clusters[i])) for i in range(cc.k))
+    edges = []
+    for a in range(cc.k):
+        for b in range(a + 1, cc.k):
+            mass = 0.0
+            for x, y in ((a, b), (b, a)):
+                rows = [term_pos[t] for t in cc.word_clusters[x]]
+                cols = [doc_pos[d] for d in cc.doc_clusters[y]]
+                mass += float(dense[np.ix_(rows, cols)].sum())
+            if mass > 0:
+                edges.append((a, b, mass))
+    return TermGraph(nodes, tuple(edges))
+
+
+def random_matrix(rng):
+    w, d = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+    # integer counts keep every sum exact, whatever its order
+    dense = np.where(rng.random((w, d)) < 0.3, rng.integers(1, 6, size=(w, d)), 0)
+    dense[np.arange(w), rng.integers(d, size=w)] = 1
+    dense[rng.integers(w, size=d), np.arange(d)] = 1
+    terms = [f"w{i}" for i in range(w)]
+    docs = [f"d{j}" for j in range(d)]
+    counts = {(terms[i], docs[j]): dense[i, j] for i, j in zip(*np.nonzero(dense))}
+    return matrix_from_counts(counts, terms, docs)
+
+
+def test_graph_builders_match_dense_formulas():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        m = random_matrix(rng)
+        for term in m.terms:
+            assert ego_network(m, term) == dense_ego_network(m, term)
+        k = int(rng.integers(1, 5))
+        word_labels = rng.integers(k, size=len(m.terms))
+        doc_labels = rng.integers(k, size=len(m.docs))
+        cc = CoClustering(
+            k,
+            tuple(frozenset(t for t, g in zip(m.terms, word_labels) if g == c) for c in range(k)),
+            tuple(frozenset(d for d, g in zip(m.docs, doc_labels) if g == c) for c in range(k)),
+            np.zeros((0, 0)),
+        )
+        assert cluster_graph(m, cc) == dense_cluster_graph(m, cc)
 
 
 def combo_graph():
@@ -151,3 +218,17 @@ def test_round_trip_random_graphs(tmp_path):
         export_pajek(g, p1)
         export_pajek(parse_pajek(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '*Vertices 3\n1 "a"\n',  # fewer vertex lines than announced
+        '*Vertices two\n1 "a"\n2 "b"\n*Edges\n',
+    ],
+)
+def test_parse_pajek_rejects_bad_vertex_count(tmp_path, text):
+    path = tmp_path / "g.net"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedPajek):
+        parse_pajek(path)
