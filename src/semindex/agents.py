@@ -50,7 +50,6 @@ class IndexedDocument:
     doc_id: str
     terms: dict  # canonical -> (count, TermStatus)
     routing: Routing
-    new_term_count: int
 
     def accepted_counts(self) -> dict:
         return {
@@ -82,7 +81,6 @@ class Blackboard:
 class PipelineConfig:
     tau: float = 0.2
     reference_year: int = 2010
-    blackboard_path: object = None  # Path or None; rewritten on every append
 
 
 def query_agent(doc_terms: set, known_terms: set) -> Dispatch:
@@ -205,7 +203,7 @@ def process_document(kb: KnowledgeBase, doc) -> dict:
 
 
 def run_pipeline(kb: KnowledgeBase, corpus, config: PipelineConfig):
-    """Route every document and keep the blackboard file current.
+    """Route every document, appending the kept ones to the blackboard.
 
     Returns (indexed documents in corpus order, blackboard).  A document can
     only reach Index or StoreOnly when it is not obsolete relative to the
@@ -217,9 +215,8 @@ def run_pipeline(kb: KnowledgeBase, corpus, config: PipelineConfig):
     for doc in corpus:
         term_map = process_document(kb, doc)
         doc_terms = set(term_map)
-        new_terms = doc_terms - known
         dispatch = query_agent(doc_terms, known)
-        draft = IndexedDocument(doc.id, term_map, Routing.DISCARD, len(new_terms))
+        draft = IndexedDocument(doc.id, term_map, Routing.DISCARD)
 
         if config.reference_year - doc.year > OBSOLESCENCE_YEARS:
             routing = Routing.DISCARD
@@ -229,11 +226,9 @@ def run_pipeline(kb: KnowledgeBase, corpus, config: PipelineConfig):
             verdict = relevance_agent(board, draft, doc.year, config.reference_year, config.tau)
             routing = Routing.STORE_ONLY if verdict is Verdict.RELEVANT else Routing.DISCARD
 
-        indexed = IndexedDocument(doc.id, term_map, routing, len(new_terms))
+        indexed = IndexedDocument(doc.id, term_map, routing)
         results.append(indexed)
         if routing is not Routing.DISCARD:
             board.append(BlackboardEntry(doc.id, routing, doc.year, indexed.accepted_counts()))
             known |= doc_terms
-            if config.blackboard_path is not None:
-                write_blackboard(board, config.blackboard_path)
     return results, board

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import agents, cocluster as cc, graphs, kb as kbmod, lexicon, metrics
 from .corpus import ingest
-from .errors import SemindexError
+from .errors import MissingIndexStore, SemindexError
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,13 @@ def _apply(config: Config, values: dict) -> Config:
             continue
         if key not in Config.__dataclass_fields__:
             raise SemindexError(f"unknown config key {key!r}")
-        if key in _INT_FIELDS:
-            value = int(value)
-        elif key in _FLOAT_FIELDS:
-            value = float(value)
+        try:
+            if key in _INT_FIELDS:
+                value = int(value)
+            elif key in _FLOAT_FIELDS:
+                value = float(value)
+        except ValueError:
+            raise SemindexError(f"{key} must be a number, got {value!r}") from None
         fields[key] = value
     config = replace(config, **fields)
     if not 0.0 <= config.tau <= 1.0:
@@ -67,10 +70,12 @@ def _apply(config: Config, values: dict) -> Config:
 
 def parse_threshold(text: str):
     kind, sep, value = text.partition(":")
-    if sep and kind == "min_count":
-        return lexicon.MinCount(int(value))
-    if sep and kind == "top_n":
-        return lexicon.TopN(int(value))
+    modes = {"min_count": lexicon.MinCount, "top_n": lexicon.TopN}
+    if sep and kind in modes:
+        try:
+            return modes[kind](int(value))
+        except ValueError:
+            pass
     raise SemindexError(f"bad threshold_mode {text!r}, use min_count:N or top_n:N")
 
 
@@ -105,7 +110,12 @@ def write_index_store(indexed_docs, years: dict, path) -> None:
 
 
 def read_index_store(path) -> list:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Stored documents in doc_id order, the order cmd_index returns them in."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise MissingIndexStore(f"{path} not found; run `semindex index` first") from None
+    data = json.loads(text)
     docs = []
     for doc_id in sorted(data["documents"]):
         entry = data["documents"][doc_id]
@@ -114,9 +124,7 @@ def read_index_store(path) -> list:
             for t, v in entry["terms"].items()
         }
         docs.append(
-            agents.IndexedDocument(
-                doc_id, terms, agents.Routing(entry["routing"]), 0
-            )
+            agents.IndexedDocument(doc_id, terms, agents.Routing(entry["routing"]))
         )
     return docs
 
@@ -128,60 +136,69 @@ def _load_corpus(config: Config):
     return ingest(paths)
 
 
-def cmd_index(config: Config) -> None:
+def cmd_index(config: Config) -> list:
+    """Index the corpus; return the documents in doc_id order."""
     if parse_level(config.level) is lexicon.ExtractionLevel.PRAGMATIC:
         raise SemindexError("pragmatic level is declared but unimplemented")
     kb = kbmod.load_kb(config.kb_path)
     corpus = _load_corpus(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pipe_config = agents.PipelineConfig(
-        tau=config.tau,
-        reference_year=config.reference_year,
-        blackboard_path=out / "blackboard.xml",
-    )
+    pipe_config = agents.PipelineConfig(tau=config.tau, reference_year=config.reference_year)
     indexed, board = agents.run_pipeline(kb, corpus, pipe_config)
-    if not board.entries:
-        agents.write_blackboard(board, out / "blackboard.xml")
+    agents.write_blackboard(board, out / "blackboard.xml")
     years = {doc.id: doc.year for doc in corpus}
+    indexed = sorted(indexed, key=lambda doc: doc.doc_id)
     write_index_store(indexed, years, out / "index_store.json")
+    return indexed
 
 
-def _matrix_from_store(config: Config):
-    indexed = read_index_store(Path(config.out_dir) / "index_store.json")
+def _documents(config: Config, indexed=None):
+    """`indexed` when given, else the documents of out_dir's index store."""
+    if indexed is None:
+        indexed = read_index_store(Path(config.out_dir) / "index_store.json")
+    return indexed
+
+
+def _matrix(config: Config, indexed):
     vocab = lexicon.build_vocabulary(indexed, parse_threshold(config.threshold_mode))
     return vocab, cc.build_matrix(vocab, indexed)
 
 
-def cmd_cluster(config: Config) -> None:
+def cmd_cluster(config: Config, indexed=None):
+    """Co-cluster the documents; return the (matrix, clustering) it wrote."""
     out = Path(config.out_dir)
-    vocab, matrix = _matrix_from_store(config)
+    vocab, matrix = _matrix(config, _documents(config, indexed))
     lexicon.save_vocabulary(vocab, out / "vocabulary.tsv")
     clustering = cc.cocluster(matrix, config.k, config.seed, config.refine_passes)
     cc.write_cluster_report(clustering, matrix, out / "clusters.json")
+    return matrix, clustering
 
 
-def cmd_export(config: Config, term: str = "") -> None:
+def cmd_export(config: Config, term: str = "", clustered=None) -> None:
+    """Write an ego network or the cluster graph; `clustered` is cmd_cluster's result."""
     if "/" in term or term in (".", ".."):
         raise SemindexError(f"--term {term!r} cannot be part of a file name")
     out = Path(config.out_dir)
-    _, matrix = _matrix_from_store(config)
+    if clustered is None:
+        clustered = _matrix(config, _documents(config))[1], None
+    matrix, clustering = clustered
     if term:
         graph = graphs.ego_network(matrix, term)
         graphs.export_pajek(graph, out / f"ego_{term}.net")
     else:
-        clustering = cc.cocluster(matrix, config.k, config.seed, config.refine_passes)
+        if clustering is None:
+            clustering = cc.cocluster(matrix, config.k, config.seed, config.refine_passes)
         graph = graphs.cluster_graph(matrix, clustering)
         graphs.export_pajek(graph, out / "clusters.net")
 
 
-def cmd_eval(config: Config) -> None:
+def cmd_eval(config: Config, indexed=None) -> None:
     if not config.gold_path:
         raise SemindexError("eval requires gold_path")
-    indexed = read_index_store(Path(config.out_dir) / "index_store.json")
     produced = {
         doc.doc_id: set(doc.accepted_counts())
-        for doc in indexed
+        for doc in _documents(config, indexed)
         if doc.routing is agents.Routing.INDEX
     }
     gold = metrics.load_gold(config.gold_path)
@@ -191,11 +208,11 @@ def cmd_eval(config: Config) -> None:
 
 
 def cmd_pipeline(config: Config) -> None:
-    cmd_index(config)
-    cmd_cluster(config)
-    cmd_export(config)
+    """index, cluster, export and eval, each stage fed from the last in memory."""
+    indexed = cmd_index(config)
+    cmd_export(config, clustered=cmd_cluster(config, indexed))
     if config.gold_path:
-        cmd_eval(config)
+        cmd_eval(config, indexed)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -80,6 +80,11 @@ class UnwritableLabel(SemindexError):
     pass
 
 
+# index store
+class MissingIndexStore(SemindexError):
+    pass
+
+
 # evaluation
 class NoOverlap(SemindexError):
     pass

@@ -164,5 +164,8 @@ def parse_pajek(path) -> TermGraph:
         match = _EDGE_RE.match(line)
         if not match:
             raise MalformedPajek(f"{path}: bad edge line {line!r}")
-        edges.append((int(match.group(1)) - 1, int(match.group(2)) - 1, float(match.group(3))))
+        u, v = int(match.group(1)), int(match.group(2))
+        if not (1 <= u <= count and 1 <= v <= count):
+            raise MalformedPajek(f"{path}: edge {u} {v} names a vertex outside 1..{count}")
+        edges.append((u - 1, v - 1, float(match.group(3))))
     return TermGraph(tuple(nodes), tuple(edges))

@@ -2,7 +2,8 @@
 
 The KB is a single JSON file.  Synonym classes act as hyperedges grouping
 surface forms under one canonical; quasi-synonym links connect classes and
-are treated as symmetric at query time regardless of declaration direction.
+are symmetric regardless of declaration direction: `load_kb` closes them
+once, so `quasi_synonyms` is a lookup.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ class KnowledgeBase:
     stop_words: frozenset
     abbreviations: dict  # surface -> expansion
     canonical_classes: dict = field(default_factory=dict)  # canonical -> class_id
+    quasi_links: dict = field(default_factory=dict)  # canonical -> frozenset of canonicals
 
 
 def _check_word(word, what: str) -> str:
@@ -103,6 +105,9 @@ def load_kb(path) -> KnowledgeBase:
             raise MalformedKb(f"bad class id {cid!r}")
         if cid in classes:
             raise InconsistentKb(f"duplicate class id {cid!r}")
+        for key in ("members", "quasi"):
+            if not isinstance(entry[key], list) or not all(isinstance(x, str) for x in entry[key]):
+                raise MalformedKb(f"class {cid!r}: {key} must be a list of strings")
         members = frozenset(_check_word(m, "member") for m in entry["members"])
         if not members:
             raise InconsistentKb(f"class {cid!r} has no members")
@@ -151,13 +156,23 @@ def load_kb(path) -> KnowledgeBase:
     if bad_stops:
         raise InconsistentKb(f"canonical terms declared as stop words: {sorted(bad_stops)}")
 
+    # links declared in either direction; a class never lists itself
+    linked = {cid: set(cls.quasi_synonym_of) for cid, cls in classes.items()}
+    for cls in classes.values():
+        for q in cls.quasi_synonym_of:
+            linked[q].add(cls.class_id)
+    quasi_links = {
+        classes[cid].canonical: frozenset(classes[o].canonical for o in others)
+        for cid, others in linked.items()
+    }
+
     abbreviations = {}
     for key, value in data.get("abbreviations", {}).items():
         if not isinstance(key, str) or not key or not isinstance(value, str) or not value:
             raise MalformedKb(f"bad abbreviation entry {key!r}: {value!r}")
         abbreviations[key.lower()] = value.lower()
 
-    return KnowledgeBase(records, classes, stop_words, abbreviations, canonical_classes)
+    return KnowledgeBase(records, classes, stop_words, abbreviations, canonical_classes, quasi_links)
 
 
 def save_kb(kb: KnowledgeBase, path) -> None:
@@ -190,14 +205,7 @@ def normalize_term(kb: KnowledgeBase, surface: str) -> Optional[str]:
 
 def quasi_synonyms(kb: KnowledgeBase, canonical: str) -> set:
     """Canonicals one quasi-synonym hop away, counting links in either direction."""
-    cid = kb.canonical_classes.get(canonical)
-    if cid is None:
+    links = kb.quasi_links.get(canonical)
+    if links is None:
         raise UnknownTerm(f"{canonical!r} is not the canonical of any class")
-    out = set()
-    for other in kb.classes.values():
-        if other.class_id == cid:
-            continue
-        if other.class_id in kb.classes[cid].quasi_synonym_of or cid in other.quasi_synonym_of:
-            out.add(other.canonical)
-    out.discard(canonical)
-    return out
+    return set(links)

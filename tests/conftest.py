@@ -32,9 +32,7 @@ def make_kb(tmp_path, **data):
 
 
 def make_doc(doc_id, counts, routing=Routing.INDEX, status=TermStatus.ACCEPTED):
-    return IndexedDocument(
-        doc_id, {t: (n, status) for t, n in counts.items()}, routing, 0
-    )
+    return IndexedDocument(doc_id, {t: (n, status) for t, n in counts.items()}, routing)
 
 
 def mstar():

@@ -176,7 +176,7 @@ def test_blackboard_write_is_deterministic(kb, tmp_path):
     corpus = [doc_from_text("d1", "port dock cargo mystery"), doc_from_text("d2", "harbor wharf")]
     outputs = []
     for name in ("a.xml", "b.xml"):
-        config = PipelineConfig(tau=0.2, reference_year=2010, blackboard_path=tmp_path / name)
-        run_pipeline(kb, corpus, config)
+        _, board = run_pipeline(kb, corpus, PipelineConfig(tau=0.2, reference_year=2010))
+        write_blackboard(board, tmp_path / name)
         outputs.append((tmp_path / name).read_bytes())
     assert outputs[0] == outputs[1]

@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+from semindex import agents, cli, cocluster
 from semindex.cli import Config, load_config, main, parse_threshold
 from semindex.errors import SemindexError
 from semindex.lexicon import MinCount, TopN
@@ -35,8 +36,43 @@ def test_bad_tau_rejected(tmp_path):
 def test_parse_threshold():
     assert parse_threshold("min_count:2") == MinCount(2)
     assert parse_threshold("top_n:5") == TopN(5)
-    with pytest.raises(SemindexError):
-        parse_threshold("whatever")
+    for bad in ("whatever", "min_count:x", "top_n:", "top_n:2.5"):
+        with pytest.raises(SemindexError):
+            parse_threshold(bad)
+
+
+@pytest.mark.parametrize("text", ["k = abc\n", "tau = x\n", "seed = 1.5\n"])
+def test_non_numeric_config_value_rejected(tmp_path, text):
+    path = tmp_path / "c.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SemindexError, match="must be a number"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--k", "abc"),
+    ("--tau", "x"),
+    ("--threshold_mode", "min_count:x"),
+])
+def test_non_numeric_option_is_domain_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert run_cli("index", "--config", CONFIG, "--out_dir", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("cluster", "--config", CONFIG, "--out_dir", str(out), flag, value) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: errors.SemindexError: ")
+    assert not (out / "clusters.json").exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "export", "eval"])
+def test_missing_index_store_is_domain_error(tmp_path, capsys, command):
+    out = tmp_path / "nowhere"
+    assert run_cli(command, "--config", CONFIG, "--out_dir", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: errors.MissingIndexStore: ")
+    assert str(out / "index_store.json") in err[0]
 
 
 def test_index_writes_blackboard_and_store(tmp_path):
@@ -132,3 +168,50 @@ def test_pragmatic_level_rejected(tmp_path):
     out = tmp_path / "out"
     code = run_cli("index", "--config", CONFIG, "--out_dir", str(out), "--level", "pragmatic")
     assert code == 1
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# a reference year of 3000 discards every mini document, leaving the blackboard empty
+@pytest.mark.parametrize("argv", [("index",), ("index", "--reference_year", "3000"), ("pipeline",)])
+def test_blackboard_written_once_and_store_never_reread(tmp_path, monkeypatch, argv):
+    writes = _count_calls(monkeypatch, agents, "write_blackboard")
+    reads = _count_calls(monkeypatch, cli, "read_index_store")
+    coclusters = _count_calls(monkeypatch, cocluster, "cocluster")
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--config", CONFIG, "--out_dir", str(out)) == 0
+    assert [args[1] for args in writes] == [out / "blackboard.xml"]
+    assert reads == []
+    assert len(coclusters) == (1 if argv[0] == "pipeline" else 0)
+
+
+def test_pipeline_matches_separate_commands(tmp_path, capsys):
+    # file names sort in the reverse of the doc ids: a.txt holds d12, l.txt d01
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    paths = sorted((MINI / "docs").glob("*.txt"))
+    for name, path in zip("lkjihgfedcba", paths):
+        shutil.copyfile(path, docs / f"{name}.txt")
+    # at k=3, seed 2 the clusters change when the matrix columns are not in doc-id order
+    common = ("--config", CONFIG, "--corpus_dir", str(docs), "--k", "3", "--seed", "2")
+    piped, steps = tmp_path / "piped", tmp_path / "steps"
+    assert run_cli("pipeline", *common, "--out_dir", str(piped)) == 0
+    piped_stdout = capsys.readouterr().out
+    for command in ("index", "cluster", "export", "eval"):
+        assert run_cli(command, *common, "--out_dir", str(steps)) == 0
+    assert capsys.readouterr().out == piped_stdout
+    names = sorted(p.name for p in piped.iterdir())
+    assert names == sorted(p.name for p in steps.iterdir())
+    assert "clusters.net" in names
+    for name in names:
+        assert (piped / name).read_bytes() == (steps / name).read_bytes(), name

@@ -232,3 +232,11 @@ def test_parse_pajek_rejects_bad_vertex_count(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(MalformedPajek):
         parse_pajek(path)
+
+
+@pytest.mark.parametrize("edge", ["1 5 1", "0 1 1"])
+def test_parse_pajek_rejects_edge_outside_vertices(tmp_path, edge):
+    path = tmp_path / "g.net"
+    path.write_text(f'*Vertices 1\n1 "a"\n*Edges\n{edge}\n', encoding="utf-8")
+    with pytest.raises(MalformedPajek, match="1..1"):
+        parse_pajek(path)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semindex.errors import InconsistentKb, MalformedKb, UnknownTerm
 from semindex.kb import load_kb, normalize_term, quasi_synonyms, save_kb
@@ -114,6 +116,68 @@ def test_quasi_synonyms_symmetric_closure(tmp_path):
     assert quasi_synonyms(kb, "ship") == set()
     with pytest.raises(UnknownTerm):
         quasi_synonyms(kb, "zeppelin")
+
+
+def _full_scan_quasi_synonyms(kb, canonical):
+    """Every class scanned for a link in either direction to `canonical`'s."""
+    cid = kb.canonical_classes[canonical]
+    out = set()
+    for other in kb.classes.values():
+        if other.class_id == cid:
+            continue
+        if other.class_id in kb.classes[cid].quasi_synonym_of or cid in other.quasi_synonym_of:
+            out.add(other.canonical)
+    out.discard(canonical)
+    return out
+
+
+@st.composite
+def linked_kbs(draw):
+    """Classes c0..cn-1 with one-way and two-way links, plus singleton classes."""
+    n = draw(st.integers(2, 8))
+    other = st.integers(0, n - 2)
+    links = draw(st.sets(st.tuples(st.integers(0, n - 1), other), max_size=20))
+    links = {(i, j if j < i else j + 1) for i, j in links}
+    singletons = draw(st.integers(0, 3))
+    classes = [
+        {
+            "id": f"c{i}",
+            "canonical": f"w{i}",
+            "members": [f"w{i}", f"v{i}"],
+            "quasi": sorted(f"c{j}" for a, j in links if a == i),
+        }
+        for i in range(n)
+    ]
+    surfaces = [f"{p}{i}" for i in range(n) for p in "wv"] + [f"s{i}" for i in range(singletons)]
+    return {"classes": classes, "categories": [{"surface": s, "category": "noun"} for s in surfaces]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=linked_kbs())
+def test_quasi_synonyms_match_full_scan(tmp_path_factory, data):
+    kb = load_kb(kb_file(tmp_path_factory.mktemp("kb"), data))
+    for canonical in kb.canonical_classes:
+        linked = quasi_synonyms(kb, canonical)
+        assert linked == _full_scan_quasi_synonyms(kb, canonical)
+        assert canonical not in linked
+        linked.add("scratch")  # a fresh set each call
+        assert "scratch" not in quasi_synonyms(kb, canonical)
+    with pytest.raises(UnknownTerm):
+        quasi_synonyms(kb, "v0")  # a member, not a canonical
+
+
+@pytest.mark.parametrize("key, value", [
+    ("members", "ab"),
+    ("members", ["a", 1]),
+    ("quasi", "c2"),
+    ("quasi", [None]),
+])
+def test_class_lists_must_hold_strings(tmp_path, key, value):
+    entry = {"id": "c1", "canonical": "a", "members": ["a", "b"], "quasi": []}
+    entry[key] = value
+    categories = [{"surface": s, "category": "noun"} for s in ("a", "b")]
+    with pytest.raises(MalformedKb, match=key):
+        make_kb(tmp_path, classes=[entry], categories=categories)
 
 
 def test_quasi_self_link_rejected(tmp_path):
