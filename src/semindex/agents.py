@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from xml.sax.saxutils import quoteattr
 
 from .corpus import tokenize
 from .errors import SemindexError
@@ -167,6 +166,9 @@ def relevance_agent(board: Blackboard, doc: IndexedDocument, doc_year: int,
 
 def write_blackboard(board: Blackboard, path) -> None:
     """Serialize the blackboard as deterministic two-space-indented XML."""
+    # deferred: xml.sax pulls in urllib and email, which only this writer needs
+    from xml.sax.saxutils import quoteattr
+
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<blackboard>"]
     for entry in board.entries:
         lines.append(

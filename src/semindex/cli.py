@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import agents, cocluster as cc, graphs, kb as kbmod, lexicon, metrics
 from .corpus import ingest
-from .errors import MissingIndexStore, SemindexError
+from .errors import MalformedIndexStore, MissingIndexStore, SemindexError
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,12 @@ def parse_threshold(text: str):
     modes = {"min_count": lexicon.MinCount, "top_n": lexicon.TopN}
     if sep and kind in modes:
         try:
-            return modes[kind](int(value))
+            count = int(value)
         except ValueError:
-            pass
-    raise SemindexError(f"bad threshold_mode {text!r}, use min_count:N or top_n:N")
+            count = -1
+        if count >= 0:
+            return modes[kind](count)
+    raise SemindexError(f"bad threshold_mode {text!r}, use min_count:N or top_n:N with N >= 0")
 
 
 def parse_level(text: str) -> lexicon.ExtractionLevel:
@@ -86,47 +88,87 @@ def parse_level(text: str) -> lexicon.ExtractionLevel:
         raise SemindexError(f"unknown extraction level {text!r}") from None
 
 
-STATUS_BY_CODE = {s.value: s for s in agents.TermStatus}
+STATUS_CODES = frozenset(s.value for s in agents.TermStatus)
+ROUTING_CODES = frozenset(r.value for r in agents.Routing)
+
+
+def _braced(members: str, indent: int) -> str:
+    """An object around its members, as json.dumps(..., indent=2) writes it."""
+    return f"{{\n{members}\n{' ' * indent}}}" if members else "{}"
 
 
 def write_index_store(indexed_docs, years: dict, path) -> None:
-    data = {
-        "documents": {
-            doc.doc_id: {
-                "routing": doc.routing.value,
-                "year": years[doc.doc_id],
-                "terms": {
-                    t: {"n": n, "status": s.value}
-                    for t, (n, s) in sorted(doc.terms.items())
-                },
-            }
-            for doc in indexed_docs
-        }
-    }
-    Path(path).write_text(
-        json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    """Write json.dumps(store, indent=2, ensure_ascii=False, sort_keys=True) + "\n".
+
+    The store's fixed layout is written directly, because with `indent` set
+    json uses its pure-Python encoder; strings go through json's own escaper.
+    """
+    quote = json.encoder.encode_basestring
+    docs = []
+    for doc in sorted(indexed_docs, key=lambda d: d.doc_id):
+        terms = ",\n".join(
+            f'        {quote(t)}: {{\n          "n": {n},\n          "status": {quote(s.value)}\n        }}'
+            for t, (n, s) in sorted(doc.terms.items())
+        )
+        docs.append(
+            f"    {quote(doc.doc_id)}: {{\n"
+            f'      "routing": {quote(doc.routing.value)},\n'
+            f'      "terms": {_braced(terms, 6)},\n'
+            f'      "year": {years[doc.doc_id]}\n'
+            f"    }}"
+        )
+    documents = _braced(",\n".join(docs), 2)
+    Path(path).write_text(f'{{\n  "documents": {documents}\n}}\n', encoding="utf-8")
 
 
-def read_index_store(path) -> list:
-    """Stored documents in doc_id order, the order cmd_index returns them in."""
+def _index_entries(documents):
+    """(doc_id, terms, counts, status codes) of each Index document.
+
+    Every stored document is checked, whatever its routing.
+    """
+    for doc_id, entry in documents.items():
+        routing, terms = entry["routing"], entry["terms"]
+        counts = [value["n"] for value in terms.values()]
+        statuses = [value["status"] for value in terms.values()]
+        if not set(map(type, counts)) <= {int}:
+            bad = next(n for n in counts if type(n) is not int)
+            raise ValueError(f"document {doc_id!r}: n = {bad!r} is not an integer")
+        if not STATUS_CODES.issuperset(statuses):
+            bad = next(s for s in statuses if s not in STATUS_CODES)
+            raise ValueError(f"document {doc_id!r}: unknown term status {bad!r}")
+        if routing == agents.Routing.INDEX.value:
+            yield doc_id, terms.keys(), counts, statuses
+        elif routing not in ROUTING_CODES:
+            raise ValueError(f"document {doc_id!r}: unknown routing {routing!r}")
+
+
+def read_index_store(path) -> lexicon.Postings:
+    """The postings of the store's Index documents, in doc_id order."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise MissingIndexStore(f"{path} not found; run `semindex index` first") from None
-    data = json.loads(text)
-    docs = []
-    for doc_id in sorted(data["documents"]):
-        entry = data["documents"][doc_id]
-        terms = {
-            t: (v["n"], STATUS_BY_CODE[v["status"]])
-            for t, v in entry["terms"].items()
-        }
-        docs.append(
-            agents.IndexedDocument(doc_id, terms, agents.Routing(entry["routing"]))
+    try:
+        entries = list(_index_entries(json.loads(text)["documents"]))
+    except KeyError as exc:
+        raise MalformedIndexStore(f"{path}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise MalformedIndexStore(f"{path}: {exc}") from None
+    return lexicon.Postings.build(entries)
+
+
+def index_postings(indexed_docs) -> lexicon.Postings:
+    """The postings of the Index documents among `indexed_docs`."""
+    return lexicon.Postings.build(
+        (
+            doc.doc_id,
+            doc.terms.keys(),
+            [n for n, _ in doc.terms.values()],
+            [s.value for _, s in doc.terms.values()],
         )
-    return docs
+        for doc in indexed_docs
+        if doc.routing is agents.Routing.INDEX
+    )
 
 
 def _load_corpus(config: Config):
@@ -137,7 +179,7 @@ def _load_corpus(config: Config):
 
 
 def cmd_index(config: Config) -> list:
-    """Index the corpus; return the documents in doc_id order."""
+    """Index the corpus; return the indexed documents."""
     if parse_level(config.level) is lexicon.ExtractionLevel.PRAGMATIC:
         raise SemindexError("pragmatic level is declared but unimplemented")
     kb = kbmod.load_kb(config.kb_path)
@@ -148,27 +190,26 @@ def cmd_index(config: Config) -> list:
     indexed, board = agents.run_pipeline(kb, corpus, pipe_config)
     agents.write_blackboard(board, out / "blackboard.xml")
     years = {doc.id: doc.year for doc in corpus}
-    indexed = sorted(indexed, key=lambda doc: doc.doc_id)
     write_index_store(indexed, years, out / "index_store.json")
     return indexed
 
 
-def _documents(config: Config, indexed=None):
-    """`indexed` when given, else the documents of out_dir's index store."""
-    if indexed is None:
-        indexed = read_index_store(Path(config.out_dir) / "index_store.json")
-    return indexed
+def _postings(config: Config, postings=None) -> lexicon.Postings:
+    """`postings` when given, else those of out_dir's index store."""
+    if postings is None:
+        postings = read_index_store(Path(config.out_dir) / "index_store.json")
+    return postings
 
 
-def _matrix(config: Config, indexed):
-    vocab = lexicon.build_vocabulary(indexed, parse_threshold(config.threshold_mode))
-    return vocab, cc.build_matrix(vocab, indexed)
+def _matrix(config: Config, postings):
+    vocab = lexicon.build_vocabulary(postings, parse_threshold(config.threshold_mode))
+    return vocab, cc.build_matrix(vocab, postings)
 
 
-def cmd_cluster(config: Config, indexed=None):
+def cmd_cluster(config: Config, postings=None):
     """Co-cluster the documents; return the (matrix, clustering) it wrote."""
     out = Path(config.out_dir)
-    vocab, matrix = _matrix(config, _documents(config, indexed))
+    vocab, matrix = _matrix(config, _postings(config, postings))
     lexicon.save_vocabulary(vocab, out / "vocabulary.tsv")
     clustering = cc.cocluster(matrix, config.k, config.seed, config.refine_passes)
     cc.write_cluster_report(clustering, matrix, out / "clusters.json")
@@ -181,7 +222,7 @@ def cmd_export(config: Config, term: str = "", clustered=None) -> None:
         raise SemindexError(f"--term {term!r} cannot be part of a file name")
     out = Path(config.out_dir)
     if clustered is None:
-        clustered = _matrix(config, _documents(config))[1], None
+        clustered = _matrix(config, _postings(config))[1], None
     matrix, clustering = clustered
     if term:
         graph = graphs.ego_network(matrix, term)
@@ -193,14 +234,10 @@ def cmd_export(config: Config, term: str = "", clustered=None) -> None:
         graphs.export_pajek(graph, out / "clusters.net")
 
 
-def cmd_eval(config: Config, indexed=None) -> None:
+def cmd_eval(config: Config, postings=None) -> None:
     if not config.gold_path:
         raise SemindexError("eval requires gold_path")
-    produced = {
-        doc.doc_id: set(doc.accepted_counts())
-        for doc in _documents(config, indexed)
-        if doc.routing is agents.Routing.INDEX
-    }
+    produced = _postings(config, postings).accepted_sets()
     gold = metrics.load_gold(config.gold_path)
     precision, recall = metrics.precision_recall(produced, gold)
     print(f"precision\t{precision:.12f}")
@@ -209,10 +246,10 @@ def cmd_eval(config: Config, indexed=None) -> None:
 
 def cmd_pipeline(config: Config) -> None:
     """index, cluster, export and eval, each stage fed from the last in memory."""
-    indexed = cmd_index(config)
-    cmd_export(config, clustered=cmd_cluster(config, indexed))
+    postings = index_postings(cmd_index(config))
+    cmd_export(config, clustered=cmd_cluster(config, postings))
     if config.gold_path:
-        cmd_eval(config, indexed)
+        cmd_eval(config, postings)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .agents import Routing, TermStatus
 from .errors import (
     BadClusterCount,
     EmptyMatrix,
@@ -26,7 +25,7 @@ from .errors import (
     TooLarge,
     ZeroDegree,
 )
-from .lexicon import Vocabulary
+from .lexicon import Postings, Vocabulary
 
 _RESIDUAL_TOL = 1e-8
 # Above this many entries ARPACK replaces dense SVD, which takes about 6 s
@@ -65,38 +64,30 @@ class CoClustering:
     dropped_groups: tuple = ()
 
 
-def build_matrix(vocab: Vocabulary, indexed_docs) -> TermDocMatrix:
-    """Counts restricted to vocabulary terms and Index-routed documents."""
-    index_docs = [d for d in indexed_docs if d.routing is Routing.INDEX]
-    term_pos = {t: i for i, t in enumerate(vocab.terms)}
-    rows, cols, vals = [], [], []
-    for j, doc in enumerate(index_docs):
-        for term, (count, status) in doc.terms.items():
-            if status is TermStatus.REJECTED:
-                continue
-            i = term_pos.get(term)
-            if i is not None and count > 0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(float(count))
-    if not vals:
+def build_matrix(vocab: Vocabulary, postings: Postings) -> TermDocMatrix:
+    """Counts of the postings, restricted to vocabulary terms."""
+    position = {t: i for i, t in enumerate(vocab.terms)}
+    rows = np.array([position.get(t, -1) for t in postings.terms], dtype=np.intp)[postings.term]
+    keep = (rows >= 0) & (postings.count > 0)
+    if not keep.any():
         raise EmptyMatrix("no vocabulary term occurs in any Index document")
     A = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(vocab.terms), len(index_docs))
+        (postings.count[keep], (rows[keep], postings.doc[keep])),
+        shape=(len(vocab.terms), len(postings.docs)),
     )
     row_deg = np.asarray(A.sum(axis=1)).ravel()
     col_deg = np.asarray(A.sum(axis=0)).ravel()
     keep_rows = np.flatnonzero(row_deg > 0)
     keep_cols = np.flatnonzero(col_deg > 0)
     pruned_terms = tuple(vocab.terms[i] for i in np.flatnonzero(row_deg == 0))
-    pruned_docs = tuple(index_docs[j].doc_id for j in np.flatnonzero(col_deg == 0))
+    pruned_docs = tuple(postings.docs[j] for j in np.flatnonzero(col_deg == 0))
     A = A[keep_rows][:, keep_cols].tocsr()
     if A.nnz == 0:
         raise EmptyMatrix("matrix empty after pruning zero rows/columns")
     return TermDocMatrix(
         A=A,
         terms=tuple(vocab.terms[i] for i in keep_rows),
-        docs=tuple(index_docs[j].doc_id for j in keep_cols),
+        docs=tuple(postings.docs[j] for j in keep_cols),
         row_degrees=np.asarray(A.sum(axis=1)).ravel(),
         col_degrees=np.asarray(A.sum(axis=0)).ravel(),
         pruned_terms=pruned_terms,
@@ -353,11 +344,13 @@ def write_cluster_report(cc: CoClustering, m: TermDocMatrix, path) -> None:
         "dropped_groups": list(cc.dropped_groups),
     }
     if cc.k == 2:
-        g = graph_from_matrix(m)
-        v1 = set(cc.word_clusters[0]) | set(cc.doc_clusters[0])
-        v2 = set(cc.word_clusters[1]) | set(cc.doc_clusters[1])
-        if v1 and v2:
-            report["ratio_cut_2way"] = ratio_cut(g, v1, v2)
+        sides = [len(cc.word_clusters[g]) + len(cc.doc_clusters[g]) for g in (0, 1)]
+        if all(sides):
+            # x, y: terms and documents on side 0; cut = x'A(1-y) + (1-x)'Ay
+            x = np.fromiter((t in cc.word_clusters[0] for t in m.terms), float, len(m.terms))
+            y = np.fromiter((d in cc.doc_clusters[0] for d in m.docs), float, len(m.docs))
+            cut = float(x @ (m.A @ (1 - y)) + (1 - x) @ (m.A @ y))
+            report["ratio_cut_2way"] = cut / sides[0] + cut / sides[1]
     Path(path).write_text(
         json.dumps(report, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
         encoding="utf-8",

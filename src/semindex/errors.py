@@ -85,6 +85,14 @@ class MissingIndexStore(SemindexError):
     pass
 
 
+class MalformedIndexStore(SemindexError):
+    pass
+
+
 # evaluation
 class NoOverlap(SemindexError):
+    pass
+
+
+class MalformedGold(SemindexError):
     pass

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import EmptyVocabulary, UnimplementedLevel
 from .kb import KnowledgeBase, normalize_term, quasi_synonyms
@@ -122,29 +125,70 @@ class Vocabulary:
         return len(self.terms)
 
 
-def build_vocabulary(indexed_docs, threshold_mode) -> Vocabulary:
-    """Score terms by total count over Index-routed documents and threshold."""
-    from .agents import Routing, TermStatus
+@dataclass(frozen=True, eq=False)
+class Postings:
+    """The term postings of Index documents, one array entry per posting.
 
-    counts = Counter()
-    for doc in indexed_docs:
-        if doc.routing is not Routing.INDEX:
-            continue
-        for term, (count, status) in doc.terms.items():
-            if status is TermStatus.REJECTED:
-                continue
-            counts[term] += count
+    Rejected postings are dropped; documents with no posting left still
+    count.  `term` and `doc` index into `terms` and `docs`.
+    """
 
-    ranked = sorted(counts, key=lambda t: (-counts[t], t))
+    docs: tuple  # doc ids, in doc_id order
+    terms: tuple  # distinct terms, in order of first posting
+    term: np.ndarray
+    doc: np.ndarray
+    count: np.ndarray  # float
+    accepted: np.ndarray  # bool
+
+    @classmethod
+    def build(cls, entries) -> "Postings":
+        """From `(doc_id, terms, counts, status codes)` entries in any order;
+        the last three are parallel sequences over one document's postings."""
+        from .agents import TermStatus  # agents imports this module
+
+
+        rejected, accepted = TermStatus.REJECTED.value, TermStatus.ACCEPTED.value
+        docs, lengths, terms, counts, statuses = [], [], [], [], []
+        for doc_id, doc_terms, doc_counts, doc_statuses in sorted(entries, key=itemgetter(0)):
+            docs.append(doc_id)
+            lengths.append(len(doc_terms))
+            terms += doc_terms
+            counts += doc_counts
+            statuses += doc_statuses
+        keep = np.array([s != rejected for s in statuses], dtype=bool)
+        kept = list(compress(terms, keep.tolist()))
+        position = {t: i for i, t in enumerate(dict.fromkeys(kept))}
+        return cls(
+            tuple(docs),
+            tuple(position),
+            np.fromiter(map(position.__getitem__, kept), np.intp, len(kept)),
+            np.repeat(np.arange(len(docs), dtype=np.intp), lengths)[keep],
+            np.array(counts, dtype=float)[keep],
+            np.array([s == accepted for s in statuses], dtype=bool)[keep],
+        )
+
+    def accepted_sets(self) -> dict:
+        """doc id -> the set of its accepted terms, for every document."""
+        sets = {doc_id: set() for doc_id in self.docs}
+        for j, i in zip(self.doc[self.accepted].tolist(), self.term[self.accepted].tolist()):
+            sets[self.docs[j]].add(self.terms[i])
+        return sets
+
+
+def build_vocabulary(postings: Postings, threshold_mode) -> Vocabulary:
+    """Score terms by total count over the postings and threshold."""
+    totals = np.bincount(postings.term, postings.count, len(postings.terms)).tolist()
+    terms = postings.terms
+    ranked = sorted(range(len(terms)), key=lambda i: (-totals[i], terms[i]))
     if isinstance(threshold_mode, MinCount):
-        kept = [t for t in ranked if counts[t] >= threshold_mode.count]
+        kept = [i for i in ranked if totals[i] >= threshold_mode.count]
     elif isinstance(threshold_mode, TopN):
         kept = ranked[: threshold_mode.n]
     else:
         raise TypeError(f"unsupported threshold mode {threshold_mode!r}")
     if not kept:
         raise EmptyVocabulary("no term survives the threshold")
-    return Vocabulary(tuple(kept), {t: float(counts[t]) for t in kept})
+    return Vocabulary(tuple(terms[i] for i in kept), {terms[i]: totals[i] for i in kept})
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

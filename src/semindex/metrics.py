@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import NoOverlap
+from .errors import MalformedGold, NoOverlap
 
 
 def load_gold(path) -> dict:
@@ -15,7 +15,7 @@ def load_gold(path) -> dict:
             continue
         doc_id, sep, term = line.partition("\t")
         if not sep or not term:
-            raise NoOverlap(f"{path}:{lineno}: expected doc_id<TAB>term")
+            raise MalformedGold(f"{path}:{lineno}: expected doc_id<TAB>term")
         gold.setdefault(doc_id, set()).add(term.strip().lower())
     return gold
 

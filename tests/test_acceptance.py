@@ -57,12 +57,7 @@ def pipeline_out(tmp_path_factory):
 def test_criterion_1_mini_corpus_eval(pipeline_out):
     with criterion(1, "mini-corpus eval matches hand-computed micro P/R"):
         start = time.perf_counter()
-        indexed = cli.read_index_store(pipeline_out / "index_store.json")
-        produced = {
-            d.doc_id: set(d.accepted_counts())
-            for d in indexed
-            if d.routing is Routing.INDEX
-        }
+        produced = cli.read_index_store(pipeline_out / "index_store.json").accepted_sets()
         gold = load_gold(MINI / "gold.tsv")
         precision, recall = precision_recall(produced, gold)
         elapsed = time.perf_counter() - start

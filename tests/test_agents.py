@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -21,7 +24,7 @@ from semindex.agents import (
 )
 from semindex.corpus import Document, Token
 
-from conftest import make_doc, make_kb
+from conftest import REPO, make_doc, make_kb
 
 I = TermStatus.INITIAL
 T = TermStatus.ACCEPTED
@@ -180,3 +183,11 @@ def test_blackboard_write_is_deterministic(kb, tmp_path):
         write_blackboard(board, tmp_path / name)
         outputs.append((tmp_path / name).read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_cli_import_defers_xml():
+    code = "import sys, semindex.cli; print(sorted({'xml.sax', 'urllib.request'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

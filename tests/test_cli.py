@@ -36,7 +36,8 @@ def test_bad_tau_rejected(tmp_path):
 def test_parse_threshold():
     assert parse_threshold("min_count:2") == MinCount(2)
     assert parse_threshold("top_n:5") == TopN(5)
-    for bad in ("whatever", "min_count:x", "top_n:", "top_n:2.5"):
+    assert parse_threshold("top_n:0") == TopN(0)
+    for bad in ("whatever", "min_count:x", "top_n:", "top_n:2.5", "top_n:-1", "min_count:-2"):
         with pytest.raises(SemindexError):
             parse_threshold(bad)
 

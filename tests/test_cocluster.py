@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from semindex import cocluster as cc
+from semindex.cli import index_postings
 from semindex.cocluster import (
     TermDocMatrix,
     assign_doc_clusters,
@@ -24,7 +27,7 @@ from conftest import make_doc, mstar
 
 
 def test_build_matrix_single_cell():
-    docs = [make_doc("d1", {"port": 2})]
+    docs = index_postings([make_doc("d1", {"port": 2})])
     vocab = build_vocabulary(docs, MinCount(1))
     m = build_matrix(vocab, docs)
     assert m.A.toarray().tolist() == [[2.0]]
@@ -33,16 +36,16 @@ def test_build_matrix_single_cell():
 
 
 def test_build_matrix_prunes_zero_rows():
-    docs = [make_doc("d1", {"port": 2})]
-    vocab = build_vocabulary([make_doc("dx", {"port": 2, "quay": 1})], MinCount(1))
+    docs = index_postings([make_doc("d1", {"port": 2})])
+    vocab = build_vocabulary(index_postings([make_doc("dx", {"port": 2, "quay": 1})]), MinCount(1))
     m = build_matrix(vocab, docs)
     assert m.terms == ("port",)
     assert m.pruned_terms == ("quay",)
 
 
 def test_build_matrix_empty():
-    docs = [make_doc("d1", {"port": 2})]
-    vocab = build_vocabulary([make_doc("dx", {"quay": 3})], MinCount(1))
+    docs = index_postings([make_doc("d1", {"port": 2})])
+    vocab = build_vocabulary(index_postings([make_doc("dx", {"quay": 3})]), MinCount(1))
     with pytest.raises(EmptyMatrix):
         build_matrix(vocab, docs)
 
@@ -366,3 +369,36 @@ def test_duality_assignment_fixed_point_on_blocks():
     words2 = assign_word_clusters(m.A, m.terms, m.docs, docs)
     docs2 = assign_doc_clusters(m.A, m.terms, m.docs, words2)
     assert (words, docs) == (words2, docs2)
+
+
+def test_report_ratio_cut_matches_graph_formula(tmp_path):
+    rng = np.random.default_rng(29)
+    path = tmp_path / "clusters.json"
+    reported = 0
+    for _ in range(60):
+        w, d = (int(n) for n in rng.integers(1, 10, size=2))
+        dense = np.where(rng.random((w, d)) < 0.4, rng.integers(1, 6, size=(w, d)), 0)
+        dense[np.arange(w), rng.integers(d, size=w)] = int(rng.integers(1, 6))
+        dense[rng.integers(w, size=d), np.arange(d)] = int(rng.integers(1, 6))
+        terms = [f"w{i}" for i in range(w)]
+        docs = [f"d{j}" for j in range(d)]
+        m = matrix_from_counts(
+            {(terms[i], docs[j]): dense[i, j] for i, j in zip(*np.nonzero(dense))}, terms, docs
+        )
+        word_side, doc_side = rng.integers(2, size=w), rng.integers(2, size=d)
+        clustering = cc.CoClustering(
+            2,
+            tuple(frozenset(t for t, s in zip(terms, word_side) if s == g) for g in (0, 1)),
+            tuple(frozenset(x for x, s in zip(docs, doc_side) if s == g) for g in (0, 1)),
+            np.zeros((w + d, 1)),
+        )
+        cc.write_cluster_report(clustering, m, path)
+        report = json.loads(path.read_text(encoding="utf-8"))
+        v1 = clustering.word_clusters[0] | clustering.doc_clusters[0]
+        v2 = clustering.word_clusters[1] | clustering.doc_clusters[1]
+        if v1 and v2:
+            assert report["ratio_cut_2way"] == ratio_cut(graph_from_matrix(m), v1, v2)
+            reported += 1
+        else:
+            assert "ratio_cut_2way" not in report
+    assert reported > 40

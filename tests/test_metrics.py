@@ -1,6 +1,6 @@
 import pytest
 
-from semindex.errors import NoOverlap
+from semindex.errors import MalformedGold, NoOverlap
 from semindex.metrics import load_gold, precision_recall
 
 
@@ -60,3 +60,10 @@ def test_load_gold(tmp_path):
     path = tmp_path / "gold.tsv"
     path.write_text("d1\tport\nd1\tcargo\nd2\tsea\n", encoding="utf-8")
     assert load_gold(path) == {"d1": {"port", "cargo"}, "d2": {"sea"}}
+
+
+def test_load_gold_line_without_tab(tmp_path):
+    path = tmp_path / "gold.tsv"
+    path.write_text("d1\tport\nd2 sea\n", encoding="utf-8")
+    with pytest.raises(MalformedGold, match=r"gold\.tsv:2: expected doc_id<TAB>term"):
+        load_gold(path)
