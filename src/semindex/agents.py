@@ -125,7 +125,14 @@ def standardizing_agent(kb: KnowledgeBase, candidates) -> list:
 
 
 def proposition_agent(kb: KnowledgeBase, terms) -> list:
-    """Rescue MorphError terms reachable from an accepted quasi-synonym."""
+    """Rescue MorphError terms reachable from an accepted quasi-synonym.
+
+    On standardizing's output the rescue never fires: only canonicals are
+    reachable, every canonical is a member of its own class and so
+    normalizes to itself, and a MorphError term is one whose surface and
+    stem both failed that lookup, so it is never a canonical.  The stage is
+    kept as the fifth of the paper's agents.
+    """
     reachable = set()
     for term, status in terms:
         if status is TermStatus.ACCEPTED and term in kb.canonical_classes:
@@ -195,13 +202,24 @@ def _aggregate(terms) -> dict:
     return counts
 
 
-def process_document(kb: KnowledgeBase, doc) -> dict:
-    """Pure per-document stage chain; safe to run in parallel."""
-    tokens = tokenize(kb, doc.text)
-    candidates = reading_agent(kb, tokens)
-    standardized = standardizing_agent(kb, candidates)
-    final = proposition_agent(kb, standardized)
-    return _aggregate(final)
+def process_document(kb: KnowledgeBase, doc, words=None) -> dict:
+    """Per-document stage chain.
+
+    `words` memoizes tokenize, reading and standardizing per lowercased
+    word: their terms depend only on the KB and the word, so calls with the
+    same KB may share one dict.  Calls run in parallel need a dict each.
+    """
+    if words is None:
+        words = {}
+    standardized = []
+    for raw in doc.text.split():
+        # tokenize cleans each whitespace-split word on its own, lowercased
+        key = raw.lower()
+        terms = words.get(key)
+        if terms is None:
+            terms = words[key] = standardizing_agent(kb, reading_agent(kb, tokenize(kb, raw)))
+        standardized += terms
+    return _aggregate(proposition_agent(kb, standardized))
 
 
 def run_pipeline(kb: KnowledgeBase, corpus, config: PipelineConfig):
@@ -213,9 +231,10 @@ def run_pipeline(kb: KnowledgeBase, corpus, config: PipelineConfig):
     """
     board = Blackboard()
     known = set(kb.canonical_classes)
+    words = {}  # per call: another KB gives other terms
     results = []
     for doc in corpus:
-        term_map = process_document(kb, doc)
+        term_map = process_document(kb, doc, words)
         doc_terms = set(term_map)
         dispatch = query_agent(doc_terms, known)
         draft = IndexedDocument(doc.id, term_map, Routing.DISCARD)

@@ -8,7 +8,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import agents, cocluster as cc, graphs, kb as kbmod, lexicon, metrics
+from . import agents, kb as kbmod, lexicon, metrics
 from .corpus import ingest
 from .errors import MalformedIndexStore, MissingIndexStore, SemindexError
 
@@ -154,7 +154,10 @@ def read_index_store(path) -> lexicon.Postings:
         raise MalformedIndexStore(f"{path}: missing key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise MalformedIndexStore(f"{path}: {exc}") from None
-    return lexicon.Postings.build(entries)
+    try:
+        return lexicon.Postings.build(entries)
+    except OverflowError:
+        raise MalformedIndexStore(f"{path}: a term count is too large for a float") from None
 
 
 def index_postings(indexed_docs) -> lexicon.Postings:
@@ -202,12 +205,17 @@ def _postings(config: Config, postings=None) -> lexicon.Postings:
 
 
 def _matrix(config: Config, postings):
+    from . import cocluster as cc  # already loaded by cmd_cluster or cmd_export
+
     vocab = lexicon.build_vocabulary(postings, parse_threshold(config.threshold_mode))
     return vocab, cc.build_matrix(vocab, postings)
 
 
 def cmd_cluster(config: Config, postings=None):
     """Co-cluster the documents; return the (matrix, clustering) it wrote."""
+    # deferred: cocluster loads scipy.sparse, about 0.2 s that index and eval never use
+    from . import cocluster as cc
+
     out = Path(config.out_dir)
     vocab, matrix = _matrix(config, _postings(config, postings))
     lexicon.save_vocabulary(vocab, out / "vocabulary.tsv")
@@ -218,6 +226,9 @@ def cmd_cluster(config: Config, postings=None):
 
 def cmd_export(config: Config, term: str = "", clustered=None) -> None:
     """Write an ego network or the cluster graph; `clustered` is cmd_cluster's result."""
+    # deferred: both load scipy.sparse, about 0.2 s that index and eval never use
+    from . import cocluster as cc, graphs
+
     if "/" in term or term in (".", ".."):
         raise SemindexError(f"--term {term!r} cannot be part of a file name")
     out = Path(config.out_dir)

@@ -8,8 +8,6 @@ from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
-
 from .errors import EmptyVocabulary, UnimplementedLevel
 from .kb import KnowledgeBase, normalize_term, quasi_synonyms
 
@@ -145,7 +143,8 @@ class Postings:
         """From `(doc_id, terms, counts, status codes)` entries in any order;
         the last three are parallel sequences over one document's postings."""
         from .agents import TermStatus  # agents imports this module
-
+        # deferred: numpy costs about 0.15 s a process, and index never builds postings
+        import numpy as np
 
         rejected, accepted = TermStatus.REJECTED.value, TermStatus.ACCEPTED.value
         docs, lengths, terms, counts, statuses = [], [], [], [], []
@@ -177,6 +176,8 @@ class Postings:
 
 def build_vocabulary(postings: Postings, threshold_mode) -> Vocabulary:
     """Score terms by total count over the postings and threshold."""
+    import numpy as np  # deferred, as in Postings.build
+
     totals = np.bincount(postings.term, postings.count, len(postings.terms)).tolist()
     terms = postings.terms
     ranked = sorted(range(len(terms)), key=lambda i: (-totals[i], terms[i]))

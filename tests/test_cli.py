@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +11,7 @@ from semindex.cli import Config, load_config, main, parse_threshold
 from semindex.errors import SemindexError
 from semindex.lexicon import MinCount, TopN
 
-from conftest import MINI
+from conftest import MINI, REPO
 
 CONFIG = str(MINI / "config.ini")
 
@@ -216,3 +219,58 @@ def test_pipeline_matches_separate_commands(tmp_path, capsys):
     assert "clusters.net" in names
     for name in names:
         assert (piped / name).read_bytes() == (steps / name).read_bytes(), name
+
+
+# --- start-up: numpy and scipy load only in the commands that compute with them
+
+_LOADED = """\
+import sys
+from semindex import cli
+try:
+    status = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    status = exc.code
+print(status, sorted({"numpy", "scipy"} & set(sys.modules)))
+"""
+
+
+def _libraries_after(*argv):
+    """The exit status of `cli.main(argv)` in a fresh interpreter, and which
+    of numpy and scipy it loaded."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env, cwd=REPO,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    code = "import sys, semindex.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_help_exits_zero():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run([sys.executable, "-m", "semindex", "--help"], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: semindex")
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["--help"], 0),
+    (["nonsense"], 2),
+    (["cluster", "--k", "abc"], 1),
+], ids=["help", "usage-error", "config-error"])
+def test_startup_paths_load_neither_numpy_nor_scipy(argv, status):
+    assert _libraries_after(*argv) == f"{status} []"
+
+
+def test_index_loads_neither_numpy_nor_scipy_and_eval_no_scipy(tmp_path):
+    out = str(tmp_path / "out")
+    assert _libraries_after("index", "--config", CONFIG, "--out_dir", out) == "0 []"
+    assert (tmp_path / "out" / "index_store.json").exists()
+    assert _libraries_after("eval", "--config", CONFIG, "--out_dir", out) == "0 ['numpy']"

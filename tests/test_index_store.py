@@ -218,10 +218,11 @@ D1, D2 = ("documents", "d1"), ("documents", "d2")
     (_edit((*D1, "terms", "port", "n"), "2"), "n = '2' is not an integer"),
     (_edit((*D2, "terms", "quay", "n"), True), "n = True is not an integer"),
     (_edit(("documents",), []), "'list' object has no attribute 'items'"),
+    (_edit((*D1, "terms", "port", "n"), 10**400), "a term count is too large for a float"),
     (None, "(char "),
 ], ids=[
     "status", "status-discarded", "routing", "no-documents", "no-terms", "no-routing", "no-n",
-    "no-n-discarded", "float-n", "string-n", "bool-n", "documents-list", "truncated",
+    "no-n-discarded", "float-n", "string-n", "bool-n", "documents-list", "huge-n", "truncated",
 ])
 def test_malformed_index_store_is_domain_error(tmp_path, capsys, mutate, detail):
     out = tmp_path / "out"
