@@ -1,0 +1,90 @@
+"""The bytes of every output, pinned by SHA-256 in golden/digests.json.
+
+Each case runs `semindex` commands through `cli.main` in a fresh directory
+and digests every file they write there, plus what they print.  The inputs
+are the mini corpus and small seeded inputs from the benchmark's generator
+(`bench/generate.py`, imported from its directory).  The recluster store of
+800 documents and 1500 terms lies above the dense-SVD cutoff, the balanced
+store below it.
+
+A change that means to alter an output regenerates the manifest with
+`PYTHONPATH=src python tests/test_golden.py` and says so.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from semindex import cli
+
+from conftest import MINI, REPO
+
+sys.path.insert(0, str(REPO / "bench"))
+import generate  # noqa: E402
+
+MANIFEST = Path(__file__).resolve().parent / "golden" / "digests.json"
+SEED = 21
+N_DOCS = {"intake": 120, "archive": 600, "recluster": 800}
+EGO = "<ego term>"  # replaced by the recluster store's first ego term
+
+# case -> (generated workload or None for the mini corpus, store directory, commands)
+CASES = {
+    **{f"mini/pipeline-k{k}": (None, "", [["pipeline", "--k", str(k)]]) for k in range(2, 7)},
+    "mini/steps": (None, "", [["index"], ["cluster"], ["export"],
+                              ["export", "--term", "america"], ["eval"]]),
+    "intake/pipeline": ("intake", "", [["pipeline"]]),
+    "archive/pipeline": ("archive", "", [["pipeline"]]),
+    "recluster/k2": ("recluster", "k2", [["cluster"], ["export"]]),
+    "recluster/k3": ("recluster", "k3", [["cluster"], ["export", "--term", EGO]]),
+    "recluster/balanced": ("recluster", "balanced", [["cluster"]]),
+}
+
+
+def _files(out: Path) -> dict:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def run_case(case: str, work: Path) -> dict:
+    """file name -> SHA-256 of each file the case's commands wrote, and of stdout."""
+    workload, store, commands = CASES[case]
+    ego = ""
+    if workload is None:
+        cwd, out = REPO, work / "out"
+        common = ["--config", str(MINI / "config.ini"), "--out_dir", str(out)]
+    else:
+        generate.GENERATORS[workload](REPO, SEED, work, n_docs=N_DOCS[workload])
+        cwd, out = work / store, work / store / "out"
+        common = ["--config", "config.ini"]
+        ego = json.loads((work / "expected.json").read_text()).get("ego_terms", [""])[0]
+    inputs = _files(out) if out.exists() else {}
+    stdout = io.StringIO()
+    with contextlib.chdir(cwd), contextlib.redirect_stdout(stdout):
+        for command in commands:
+            argv = [ego if arg == EGO else arg for arg in command]
+            assert cli.main([*argv, *common]) == 0, (case, argv)
+    written = {name: data for name, data in _files(out).items() if inputs.get(name) != data}
+    written["<stdout>"] = stdout.getvalue().encode("utf-8")
+    return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(written.items())}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_outputs_match_golden_digests(case, tmp_path):
+    want = json.loads(MANIFEST.read_text(encoding="utf-8"))[case]
+    got = run_case(case, tmp_path)
+    differ = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    assert not differ, f"{case}: {differ} differ from {MANIFEST.name}"
+
+
+if __name__ == "__main__":
+    digests = {}
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as work:
+            digests[case] = run_case(case, Path(work))
+    MANIFEST.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} cases to {MANIFEST}")
