@@ -213,7 +213,7 @@ def _matrix(config: Config, postings):
 
 def cmd_cluster(config: Config, postings=None):
     """Co-cluster the documents; return the (matrix, clustering) it wrote."""
-    # deferred: cocluster loads scipy.sparse, about 0.2 s that index and eval never use
+    # deferred: cocluster loads numpy, about 0.15 s that index never uses
     from . import cocluster as cc
 
     out = Path(config.out_dir)
@@ -226,7 +226,7 @@ def cmd_cluster(config: Config, postings=None):
 
 def cmd_export(config: Config, term: str = "", clustered=None) -> None:
     """Write an ego network or the cluster graph; `clustered` is cmd_cluster's result."""
-    # deferred: both load scipy.sparse, about 0.2 s that index and eval never use
+    # deferred: both load numpy, about 0.15 s that index never uses
     from . import cocluster as cc, graphs
 
     if "/" in term or term in (".", ".."):

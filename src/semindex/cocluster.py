@@ -1,21 +1,23 @@
 """Bipartite spectral co-clustering of terms and documents.
 
-The term-document count matrix is degree-normalized, embedded through the
-leading non-trivial singular pairs (dense LAPACK for matrices of up to
-2^20 entries, ARPACK beyond), and partitioned jointly with k-means.  Word
-and document cluster assignments are then refined with the dual max-mass
-formulas, and partitions can be scored with the ratio-cut objective.
+The term-document count matrix is kept as its nonzero entries: parallel
+numpy arrays of row, column and count, sorted by (row, column).  It is
+degree-normalized, embedded through the leading non-trivial singular pairs
+(dense LAPACK for matrices of up to 2^20 entries, ARPACK beyond; scipy is
+loaded only then), and partitioned jointly with k-means.  Word and document
+cluster labels are then refined with the dual max-mass formulas, and
+partitions can be scored with the ratio-cut objective.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     BadClusterCount,
@@ -33,15 +35,32 @@ _RESIDUAL_TOL = 1e-8
 _DENSE_ENTRIES = 1 << 20
 
 
+@dataclass(frozen=True, eq=False)
+class Counts:
+    """The positive entries of a terms x documents count matrix, sorted by (row, col)."""
+
+    row: np.ndarray
+    col: np.ndarray
+    count: np.ndarray  # float
+
+    @property
+    def nnz(self) -> int:
+        return len(self.count)
+
+
 @dataclass(frozen=True)
 class TermDocMatrix:
-    A: sp.csr_matrix  # terms x documents, nonnegative counts
+    A: Counts
     terms: tuple
     docs: tuple
     row_degrees: np.ndarray
     col_degrees: np.ndarray
     pruned_terms: tuple = ()
     pruned_docs: tuple = ()
+
+    @property
+    def shape(self) -> tuple:
+        return len(self.terms), len(self.docs)
 
 
 @dataclass(frozen=True)
@@ -61,7 +80,24 @@ class CoClustering:
     word_clusters: tuple  # tuple of frozensets over term labels
     doc_clusters: tuple
     embedding: np.ndarray  # (terms + docs) x l, term rows first
+    word_labels: np.ndarray  # cluster of each matrix row
+    doc_labels: np.ndarray  # cluster of each matrix column
     dropped_groups: tuple = ()
+
+    @classmethod
+    def from_labels(cls, m: TermDocMatrix, k: int, word_labels, doc_labels, embedding,
+                    dropped_groups=()) -> CoClustering:
+        """The clustering with these labels in 0..k-1; builds its frozensets."""
+        def members(labels, names):
+            return tuple(frozenset(compress(names, (labels == g).tolist())) for g in range(k))
+
+        return cls(k, members(word_labels, m.terms), members(doc_labels, m.docs), embedding,
+                   word_labels, doc_labels, tuple(dropped_groups))
+
+
+def _counts(row, col, count) -> Counts:
+    order = np.lexsort((col, row))
+    return Counts(row[order], col[order], count[order])
 
 
 def build_matrix(vocab: Vocabulary, postings: Postings) -> TermDocMatrix:
@@ -71,27 +107,20 @@ def build_matrix(vocab: Vocabulary, postings: Postings) -> TermDocMatrix:
     keep = (rows >= 0) & (postings.count > 0)
     if not keep.any():
         raise EmptyMatrix("no vocabulary term occurs in any Index document")
-    A = sp.csr_matrix(
-        (postings.count[keep], (rows[keep], postings.doc[keep])),
-        shape=(len(vocab.terms), len(postings.docs)),
-    )
-    row_deg = np.asarray(A.sum(axis=1)).ravel()
-    col_deg = np.asarray(A.sum(axis=0)).ravel()
+    row, col, count = rows[keep], postings.doc[keep], postings.count[keep]
+    # every kept count is positive: a row or column with an entry has a positive degree
+    row_deg = np.bincount(row, count, len(vocab.terms))
+    col_deg = np.bincount(col, count, len(postings.docs))
     keep_rows = np.flatnonzero(row_deg > 0)
     keep_cols = np.flatnonzero(col_deg > 0)
-    pruned_terms = tuple(vocab.terms[i] for i in np.flatnonzero(row_deg == 0))
-    pruned_docs = tuple(postings.docs[j] for j in np.flatnonzero(col_deg == 0))
-    A = A[keep_rows][:, keep_cols].tocsr()
-    if A.nnz == 0:
-        raise EmptyMatrix("matrix empty after pruning zero rows/columns")
     return TermDocMatrix(
-        A=A,
+        A=_counts(np.cumsum(row_deg > 0)[row] - 1, np.cumsum(col_deg > 0)[col] - 1, count),
         terms=tuple(vocab.terms[i] for i in keep_rows),
         docs=tuple(postings.docs[j] for j in keep_cols),
-        row_degrees=np.asarray(A.sum(axis=1)).ravel(),
-        col_degrees=np.asarray(A.sum(axis=0)).ravel(),
-        pruned_terms=pruned_terms,
-        pruned_docs=pruned_docs,
+        row_degrees=row_deg[keep_rows],
+        col_degrees=col_deg[keep_cols],
+        pruned_terms=tuple(vocab.terms[i] for i in np.flatnonzero(row_deg == 0)),
+        pruned_docs=tuple(postings.docs[j] for j in np.flatnonzero(col_deg == 0)),
     )
 
 
@@ -99,26 +128,38 @@ def matrix_from_counts(counts: dict, terms, docs) -> TermDocMatrix:
     """Convenience builder from {(term, doc): count}; labels give the order."""
     terms = tuple(terms)
     docs = tuple(docs)
-    A = sp.lil_matrix((len(terms), len(docs)))
     ti = {t: i for i, t in enumerate(terms)}
     dj = {d: j for j, d in enumerate(docs)}
-    for (t, d), c in counts.items():
-        A[ti[t], dj[d]] = float(c)
-    A = A.tocsr()
-    row_deg = np.asarray(A.sum(axis=1)).ravel()
-    col_deg = np.asarray(A.sum(axis=0)).ravel()
+    cells = np.array([(ti[t], dj[d], c) for (t, d), c in counts.items() if c], float).reshape(-1, 3)
+    A = _counts(cells[:, 0].astype(np.intp), cells[:, 1].astype(np.intp), cells[:, 2])
+    row_deg = np.bincount(A.row, A.count, len(terms))
+    col_deg = np.bincount(A.col, A.count, len(docs))
     if (row_deg == 0).any() or (col_deg == 0).any():
         raise EmptyMatrix("zero row or column in explicit count matrix")
     return TermDocMatrix(A, terms, docs, row_deg, col_deg)
 
 
-def normalize_matrix(m: TermDocMatrix) -> sp.csr_matrix:
-    """An = D1^(-1/2) A D2^(-1/2), entrywise A_ij / sqrt(D1_i * D2_j)."""
+def normalize_matrix(m: TermDocMatrix):
+    """An = D1^(-1/2) A D2^(-1/2), entrywise A_ij / sqrt(D1_i * D2_j).
+
+    A dense array for matrices of up to _DENSE_ENTRIES entries, else a
+    scipy.sparse CSR matrix.
+    """
     if (m.row_degrees <= 0).any() or (m.col_degrees <= 0).any():
         raise ZeroDegree("degree vectors must be strictly positive")
-    d1 = sp.diags(1.0 / np.sqrt(m.row_degrees))
-    d2 = sp.diags(1.0 / np.sqrt(m.col_degrees))
-    return (d1 @ m.A @ d2).tocsr()
+    d1 = 1.0 / np.sqrt(m.row_degrees)
+    d2 = 1.0 / np.sqrt(m.col_degrees)
+    A = m.A
+    values = A.count * d1[A.row] * d2[A.col]  # rounds as d1 @ A @ d2 does
+    w, d = m.shape
+    if w * d <= _DENSE_ENTRIES:
+        An = np.zeros((w, d))
+        An[A.row, A.col] = values
+        return An
+    import scipy.sparse as sp  # deferred: about 0.2 s a process, needed only here
+
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(A.row, minlength=w))))
+    return sp.csr_matrix((values, A.col, indptr), shape=(w, d))
 
 
 def _fix_sign(u: np.ndarray, v: np.ndarray):
@@ -128,8 +169,8 @@ def _fix_sign(u: np.ndarray, v: np.ndarray):
     return u, v
 
 
-def _singular_pairs(An: sp.csr_matrix, row_degrees, col_degrees, npairs: int):
-    """Leading singular triplets of An, largest first, by LAPACK or ARPACK.
+def _singular_pairs(An, row_degrees, col_degrees, npairs: int):
+    """Leading singular triplets of An (normalize_matrix's), largest first, by LAPACK or ARPACK.
 
     The trivial first pair (sigma = 1, scaled degree vectors) is known in
     closed form.  The solver runs on An + u1 v1^T, which lifts that pair to
@@ -144,7 +185,8 @@ def _singular_pairs(An: sp.csr_matrix, row_degrees, col_degrees, npairs: int):
     u1 = np.sqrt(row_degrees) / total
     v1 = np.sqrt(col_degrees) / total
     if w * d <= _DENSE_ENTRIES or min(w, d) <= npairs:  # svds needs k < min(w, d)
-        U, sigmas, Vt = np.linalg.svd(An.toarray() + np.outer(u1, v1), full_matrices=False)
+        dense = An if isinstance(An, np.ndarray) else An.toarray()
+        U, sigmas, Vt = np.linalg.svd(dense + np.outer(u1, v1), full_matrices=False)
     else:
         from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
@@ -176,7 +218,7 @@ def embedding_dim(k: int) -> int:
     return 1 if k <= 2 else math.ceil(math.log2(k))
 
 
-def spectral_embed(An: sp.csr_matrix, row_degrees, col_degrees, k: int) -> np.ndarray:
+def spectral_embed(An, row_degrees, col_degrees, k: int) -> np.ndarray:
     """Joint term/document coordinates from singular pairs 2..l+1."""
     w, d = An.shape
     if k < 2:
@@ -223,42 +265,36 @@ def kmeans_partition(Z: np.ndarray, k: int, seed: int) -> np.ndarray:
     return labels
 
 
-def _assign(scores: np.ndarray, labels, k: int):
-    clusters = [set() for _ in range(k)]
-    winners = np.argmax(scores, axis=1)  # argmax ties -> smallest cluster index
-    for label, m in zip(labels, winners):
-        clusters[int(m)].add(label)
-    return tuple(frozenset(c) for c in clusters)
+def label_mass(m: TermDocMatrix, row_labels, col_labels, shape) -> np.ndarray:
+    """mass[a, b]: total count of the entries whose row is labeled a and column b.
+
+    Integer counts give exact sums, whatever their order.
+    """
+    n_a, n_b = shape
+    keys = row_labels[m.A.row] * n_b + col_labels[m.A.col]
+    return np.bincount(keys, m.A.count, n_a * n_b).reshape(n_a, n_b)
 
 
-def assign_word_clusters(A: sp.csr_matrix, terms, docs, doc_clusters) -> tuple:
-    """W_m: each word joins the cluster maximizing its in-cluster mass."""
-    k = len(doc_clusters)
-    S = np.zeros((len(docs), k))
-    for m, cluster in enumerate(doc_clusters):
-        for j, doc in enumerate(docs):
-            if doc in cluster:
-                S[j, m] = 1.0
-    return _assign(A @ S, terms, k)
+def assign_word_clusters(m: TermDocMatrix, doc_labels, k: int) -> np.ndarray:
+    """W_m: each word joins the cluster maximizing its in-cluster mass.
+
+    Takes and returns cluster labels; a tie goes to the lowest cluster.
+    """
+    w, _ = m.shape
+    return np.argmax(label_mass(m, np.arange(w), doc_labels, (w, k)), axis=1)
 
 
-def assign_doc_clusters(A: sp.csr_matrix, terms, docs, word_clusters) -> tuple:
+def assign_doc_clusters(m: TermDocMatrix, word_labels, k: int) -> np.ndarray:
     """D_m: dual of assign_word_clusters, over matrix rows."""
-    k = len(word_clusters)
-    S = np.zeros((len(terms), k))
-    for m, cluster in enumerate(word_clusters):
-        for i, term in enumerate(terms):
-            if term in cluster:
-                S[i, m] = 1.0
-    return _assign(A.T @ S, docs, k)
+    _, d = m.shape
+    return np.argmax(label_mass(m, word_labels, np.arange(d), (k, d)), axis=0)
 
 
 def graph_from_matrix(m: TermDocMatrix) -> BipartiteGraph:
-    coo = m.A.tocoo()
+    A = m.A
     edges = tuple(
-        (m.terms[i], m.docs[j], float(w))
-        for i, j, w in zip(coo.row, coo.col, coo.data)
-        if w != 0.0
+        (m.terms[i], m.docs[j], w)
+        for i, j, w in zip(A.row.tolist(), A.col.tolist(), A.count.tolist())
     )
     return BipartiteGraph(tuple(m.terms), tuple(m.docs), edges)
 
@@ -302,32 +338,18 @@ def brute_force_min_ratio_cut(g: BipartiteGraph):
 
 def cocluster(m: TermDocMatrix, k: int, seed: int, refine_passes: int = 1) -> CoClustering:
     """Full co-clustering: normalize, embed, k-means, duality refinement."""
-    w, d = m.A.shape
+    w, d = m.shape
     if k == 1:
-        return CoClustering(
-            1,
-            (frozenset(m.terms),),
-            (frozenset(m.docs),),
-            np.zeros((w + d, 1)),
-        )
+        return CoClustering.from_labels(m, 1, np.zeros(w, int), np.zeros(d, int), np.zeros((w + d, 1)))
     An = normalize_matrix(m)
     Z = spectral_embed(An, m.row_degrees, m.col_degrees, k)
-    labels = kmeans_partition(Z, k, seed)
-    doc_labels = labels[w:]
-    doc_clusters = []
-    dropped = []
-    for g in range(k):
-        members = frozenset(m.docs[j] for j in np.flatnonzero(doc_labels == g))
-        if members:
-            doc_clusters.append(members)
-        else:
-            dropped.append(g)
-    doc_clusters = tuple(doc_clusters)
-    word_clusters = ()
+    # k-means document groups left empty are dropped; the rest keep their order
+    groups, doc_labels = np.unique(kmeans_partition(Z, k, seed)[w:], return_inverse=True)
     for _ in range(max(1, refine_passes)):
-        word_clusters = assign_word_clusters(m.A, m.terms, m.docs, doc_clusters)
-        doc_clusters = assign_doc_clusters(m.A, m.terms, m.docs, word_clusters)
-    return CoClustering(len(doc_clusters), word_clusters, doc_clusters, Z, tuple(dropped))
+        word_labels = assign_word_clusters(m, doc_labels, len(groups))
+        doc_labels = assign_doc_clusters(m, word_labels, len(groups))
+    dropped = np.setdiff1d(np.arange(k), groups).tolist()
+    return CoClustering.from_labels(m, len(groups), word_labels, doc_labels, Z, dropped)
 
 
 def write_cluster_report(cc: CoClustering, m: TermDocMatrix, path) -> None:
@@ -346,10 +368,8 @@ def write_cluster_report(cc: CoClustering, m: TermDocMatrix, path) -> None:
     if cc.k == 2:
         sides = [len(cc.word_clusters[g]) + len(cc.doc_clusters[g]) for g in (0, 1)]
         if all(sides):
-            # x, y: terms and documents on side 0; cut = x'A(1-y) + (1-x)'Ay
-            x = np.fromiter((t in cc.word_clusters[0] for t in m.terms), float, len(m.terms))
-            y = np.fromiter((d in cc.doc_clusters[0] for d in m.docs), float, len(m.docs))
-            cut = float(x @ (m.A @ (1 - y)) + (1 - x) @ (m.A @ y))
+            mass = label_mass(m, cc.word_labels, cc.doc_labels, (2, 2))
+            cut = float(mass[0, 1] + mass[1, 0])
             report["ratio_cut_2way"] = cut / sides[0] + cut / sides[1]
     Path(path).write_text(
         json.dumps(report, indent=2, ensure_ascii=False, sort_keys=True) + "\n",

@@ -13,9 +13,8 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
-from .cocluster import CoClustering, TermDocMatrix
+from .cocluster import CoClustering, TermDocMatrix, label_mass
 from .errors import MalformedPajek, UnknownNode, UnknownTerm, UnwritableLabel
 
 
@@ -37,26 +36,18 @@ def ego_network(m: TermDocMatrix, term: str) -> TermGraph:
     """Star of terms sharing at least one document with the center term."""
     if term not in m.terms:
         raise UnknownTerm(f"{term!r} is not a matrix row")
-    present = m.A > 0
     center = m.terms.index(term)
-    support = present[center].indices
-    shared = present[:, support].tocsr()  # terms x the center's documents
-    nodes = [(term, frozenset(m.docs[j] for j in support))]
+    row, col = m.A.row, m.A.col
+    support = np.zeros(len(m.docs), dtype=bool)
+    support[col[row == center]] = True
+    shared = support[col] & (row != center)  # entries of other terms in the center's documents
+    nodes = [(term, frozenset(m.docs[j] for j in np.flatnonzero(support)))]
     edges = []
-    for i in np.flatnonzero(np.diff(shared.indptr)):
-        if i != center:
-            cols = support[shared.indices[shared.indptr[i]:shared.indptr[i + 1]]]
-            edges.append((0, len(nodes), float(len(cols))))
-            nodes.append((m.terms[i], frozenset(m.docs[j] for j in cols)))
+    neighbours, starts = np.unique(row[shared], return_index=True)
+    for i, cols in zip(neighbours.tolist(), np.split(col[shared], starts[1:])):
+        edges.append((0, len(nodes), float(len(cols))))
+        nodes.append((m.terms[i], frozenset(m.docs[j] for j in cols.tolist())))
     return TermGraph(tuple(nodes), tuple(edges))
-
-
-def _membership(labels, clusters) -> sp.csr_matrix:
-    """Indicator matrix: row per label, column per cluster."""
-    pos = {x: i for i, x in enumerate(labels)}
-    cells = [(pos[x], c) for c, members in enumerate(clusters) for x in members if x in pos]
-    rows, cols = np.array(cells, dtype=int).reshape(-1, 2).T
-    return sp.csr_matrix((np.ones(len(cells)), (rows, cols)), shape=(len(labels), len(clusters)))
 
 
 def cluster_graph(m: TermDocMatrix, cc: CoClustering) -> TermGraph:
@@ -65,8 +56,8 @@ def cluster_graph(m: TermDocMatrix, cc: CoClustering) -> TermGraph:
         (f"cluster-{i + 1}", frozenset(cc.doc_clusters[i])) for i in range(cc.k)
     )
     # mass[a, b]: matrix mass of word cluster a over document cluster b
-    mass = _membership(m.terms, cc.word_clusters).T @ m.A @ _membership(m.docs, cc.doc_clusters)
-    cross = (mass + mass.T).toarray()
+    mass = label_mass(m, cc.word_labels, cc.doc_labels, (cc.k, cc.k))
+    cross = mass + mass.T
     edges = tuple(
         (a, b, float(cross[a, b]))
         for a in range(cc.k)

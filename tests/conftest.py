@@ -1,10 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semindex.agents import IndexedDocument, Routing, TermStatus
-from semindex.cocluster import matrix_from_counts
+from semindex.cocluster import assign_doc_clusters, assign_word_clusters, matrix_from_counts
 from semindex.kb import load_kb
 
 REPO = Path(__file__).resolve().parent.parent
@@ -49,3 +50,26 @@ def mstar():
         ["w1", "w2", "w3", "w4"],
         ["d1", "d2", "d3"],
     )
+
+
+def dense(m):
+    """The counts of a TermDocMatrix as a dense terms x documents array."""
+    A = np.zeros(m.shape)
+    A[m.A.row, m.A.col] = m.A.count
+    return A
+
+
+def assign_words(m, doc_parts):
+    """assign_word_clusters over clusters given as sets of labels, returned as frozensets."""
+    k = len(doc_parts)
+    doc_labels = np.array([next(g for g, part in enumerate(doc_parts) if x in part) for x in m.docs])
+    labels = assign_word_clusters(m, doc_labels, k)
+    return tuple(frozenset(t for t, g in zip(m.terms, labels) if g == c) for c in range(k))
+
+
+def assign_docs(m, word_parts):
+    """assign_doc_clusters over clusters given as sets of labels, returned as frozensets."""
+    k = len(word_parts)
+    word_labels = np.array([next(g for g, part in enumerate(word_parts) if x in part) for x in m.terms])
+    labels = assign_doc_clusters(m, word_labels, k)
+    return tuple(frozenset(d for d, g in zip(m.docs, labels) if g == c) for c in range(k))

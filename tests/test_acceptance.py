@@ -10,8 +10,6 @@ import pytest
 from semindex import cli
 from semindex.agents import PipelineConfig, Routing, TermStatus, run_pipeline, write_blackboard
 from semindex.cocluster import (
-    assign_doc_clusters,
-    assign_word_clusters,
     brute_force_min_ratio_cut,
     cocluster,
     graph_from_matrix,
@@ -26,7 +24,7 @@ from semindex.kb import load_kb
 from semindex.lexicon import stem
 from semindex.metrics import load_gold, precision_recall
 
-from conftest import MINI, REPO, mstar
+from conftest import MINI, REPO, assign_docs, assign_words, dense, mstar
 
 CONFIG = str(MINI / "config.ini")
 GOLDEN = REPO / "tests" / "golden"
@@ -184,9 +182,8 @@ def test_criterion_4_numerics():
         for _ in range(100):
             m = _random_sparse(rng)
             An = normalize_matrix(m)
-            dense = m.A.toarray()
-            expected = dense / np.sqrt(np.outer(m.row_degrees, m.col_degrees))
-            assert np.max(np.abs(An.toarray() - expected)) <= 1e-12
+            expected = dense(m) / np.sqrt(np.outer(m.row_degrees, m.col_degrees))
+            assert np.max(np.abs(An - expected)) <= 1e-12
             sigmas, U, V = _singular_pairs(An, m.row_degrees, m.col_degrees, 3)
             for p in range(3):
                 assert np.max(np.abs(An @ V[:, p] - sigmas[p] * U[:, p])) <= 1e-8
@@ -196,9 +193,9 @@ def test_criterion_4_numerics():
 def test_criterion_5_formula_fidelity():
     with criterion(5, "dual assignment formulas on worked example + scale invariance"):
         m = mstar()
-        words = assign_word_clusters(m.A, m.terms, m.docs, ({"d1"}, {"d2", "d3"}))
+        words = assign_words(m, ({"d1"}, {"d2", "d3"}))
         assert words == (frozenset({"w1", "w2"}), frozenset({"w3", "w4"}))
-        docs = assign_doc_clusters(m.A, m.terms, m.docs, words)
+        docs = assign_docs(m, words)
         assert docs == (frozenset({"d1"}), frozenset({"d2", "d3"}))
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -223,14 +220,12 @@ def test_criterion_5_formula_fidelity():
             )
             split = int(rng.integers(1, d))
             doc_part = (set(docs_l[:split]), set(docs_l[split:]))
-            w1 = assign_word_clusters(m1.A, m1.terms, m1.docs, doc_part)
-            w2 = assign_word_clusters(m2.A, m2.terms, m2.docs, doc_part)
+            w1 = assign_words(m1, doc_part)
+            w2 = assign_words(m2, doc_part)
             assert w1 == w2
             wsplit = int(rng.integers(1, w))
             word_part = (set(terms[:wsplit]), set(terms[wsplit:]))
-            assert assign_doc_clusters(m1.A, m1.terms, m1.docs, word_part) == assign_doc_clusters(
-                m2.A, m2.terms, m2.docs, word_part
-            )
+            assert assign_docs(m1, word_part) == assign_docs(m2, word_part)
 
 
 def _random_documents(kb, count, rng):

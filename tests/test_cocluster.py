@@ -8,8 +8,6 @@ from semindex import cocluster as cc
 from semindex.cli import index_postings
 from semindex.cocluster import (
     TermDocMatrix,
-    assign_doc_clusters,
-    assign_word_clusters,
     brute_force_min_ratio_cut,
     build_matrix,
     cocluster,
@@ -23,14 +21,14 @@ from semindex.cocluster import (
 from semindex.errors import BadClusterCount, EmptyMatrix, EmptySide, TooLarge
 from semindex.lexicon import MinCount, build_vocabulary
 
-from conftest import make_doc, mstar
+from conftest import assign_docs, assign_words, dense, make_doc, mstar
 
 
 def test_build_matrix_single_cell():
     docs = index_postings([make_doc("d1", {"port": 2})])
     vocab = build_vocabulary(docs, MinCount(1))
     m = build_matrix(vocab, docs)
-    assert m.A.toarray().tolist() == [[2.0]]
+    assert dense(m).tolist() == [[2.0]]
     assert m.row_degrees.tolist() == [2.0]
     assert m.col_degrees.tolist() == [2.0]
 
@@ -58,19 +56,19 @@ def test_mstar_degrees():
 
 def test_normalize_matrix_entries():
     m = mstar()
-    An = normalize_matrix(m).toarray()
+    An = normalize_matrix(m)
     assert An[0, 0] == pytest.approx(2 / np.sqrt(2 * 3), abs=1e-5)
     assert An[2, 2] == pytest.approx(1 / np.sqrt(4 * 3), abs=1e-5)
     for i in range(4):
         for j in range(3):
-            expected = m.A[i, j] / np.sqrt(m.row_degrees[i] * m.col_degrees[j])
+            expected = dense(m)[i, j] / np.sqrt(m.row_degrees[i] * m.col_degrees[j])
             assert An[i, j] == pytest.approx(expected, abs=1e-12)
     assert ((An >= 0) & (An <= 1)).all()
 
 
 def test_normalize_single_cell_is_one():
     m = matrix_from_counts({("w", "d"): 7}, ["w"], ["d"])
-    assert normalize_matrix(m).toarray()[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert normalize_matrix(m)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectral_embed_separates_blocks_by_sign():
@@ -88,8 +86,8 @@ def test_spectral_embed_matches_dense_svd():
     m = mstar()
     An = normalize_matrix(m)
     sigmas, U, V = cc._singular_pairs(An, m.row_degrees, m.col_degrees, 3)
-    dense = np.linalg.svd(An.toarray(), compute_uv=False)
-    assert sigmas == pytest.approx(dense[:3], abs=1e-8)
+    svd = np.linalg.svd(An, compute_uv=False)
+    assert sigmas == pytest.approx(svd[:3], abs=1e-8)
 
 
 def test_spectral_embed_k_too_large():
@@ -147,11 +145,11 @@ def _cyclic_copies():
 def test_singular_pairs_near_degenerate_spectrum():
     m = _cyclic_copies()
     An = normalize_matrix(m)
-    dense = np.linalg.svd(An.toarray(), compute_uv=False)
-    assert 1 - 1e-6 < dense[2] / dense[1] < 1
+    svd = np.linalg.svd(An, compute_uv=False)
+    assert 1 - 1e-6 < svd[2] / svd[1] < 1
     sigmas, U, V = cc._singular_pairs(An, m.row_degrees, m.col_degrees, 3)
     _assert_singular_pairs(An, sigmas, U, V)
-    assert sigmas == pytest.approx(dense[:3], abs=1e-12)
+    assert sigmas == pytest.approx(svd[:3], abs=1e-12)
     first = spectral_embed(An, m.row_degrees, m.col_degrees, 4)
     second = spectral_embed(An, m.row_degrees, m.col_degrees, 4)
     assert (first == second).all()
@@ -198,8 +196,11 @@ def _large_matrix(w, d, density):
                   data_rvs=lambda n: rng.integers(1, 6, n).astype(float))
     n = max(w, d)  # a diagonal band leaves no row or column empty
     A = (A + sp.csr_matrix((np.ones(n), (np.arange(n) % w, np.arange(n) % d)), shape=(w, d))).tocsr()
+    A.sum_duplicates()  # sorted by (row, col)
     degrees = np.asarray(A.sum(axis=1)).ravel(), np.asarray(A.sum(axis=0)).ravel()
-    return TermDocMatrix(A, tuple(range(w)), tuple(range(d)), *degrees)
+    A = A.tocoo()
+    counts = cc.Counts(A.row.astype(np.intp), A.col.astype(np.intp), A.data)
+    return TermDocMatrix(counts, tuple(range(w)), tuple(range(d)), *degrees)
 
 
 @pytest.mark.parametrize(
@@ -249,13 +250,13 @@ def test_kmeans_deterministic():
 
 def test_assign_word_clusters_mstar():
     m = mstar()
-    out = assign_word_clusters(m.A, m.terms, m.docs, ({"d1"}, {"d2", "d3"}))
+    out = assign_words(m, ({"d1"}, {"d2", "d3"}))
     assert out == (frozenset({"w1", "w2"}), frozenset({"w3", "w4"}))
 
 
 def test_assign_doc_clusters_mstar():
     m = mstar()
-    out = assign_doc_clusters(m.A, m.terms, m.docs, ({"w1", "w2"}, {"w3", "w4"}))
+    out = assign_docs(m, ({"w1", "w2"}, {"w3", "w4"}))
     assert out == (frozenset({"d1"}), frozenset({"d2", "d3"}))
 
 
@@ -263,13 +264,13 @@ def test_assign_tie_goes_to_first_cluster():
     m = matrix_from_counts(
         {("w1", "d1"): 1, ("w1", "d2"): 1}, ["w1"], ["d1", "d2"]
     )
-    out = assign_word_clusters(m.A, m.terms, m.docs, ({"d1"}, {"d2"}))
+    out = assign_words(m, ({"d1"}, {"d2"}))
     assert out == (frozenset({"w1"}), frozenset())
 
 
 def test_assign_k1_collects_everything():
     m = mstar()
-    assert assign_word_clusters(m.A, m.terms, m.docs, ({"d1", "d2", "d3"},)) == (
+    assert assign_words(m, ({"d1", "d2", "d3"},)) == (
         frozenset({"w1", "w2", "w3", "w4"}),
     )
 
@@ -289,9 +290,7 @@ def test_assignment_scale_invariant():
         m.docs,
     )
     parts = ({"d1"}, {"d2", "d3"})
-    assert assign_word_clusters(m.A, m.terms, m.docs, parts) == assign_word_clusters(
-        scaled.A, scaled.terms, scaled.docs, parts
-    )
+    assert assign_words(m, parts) == assign_words(scaled, parts)
 
 
 def test_ratio_cut_zero_for_component_split():
@@ -364,10 +363,10 @@ def test_cocluster_deterministic():
 
 def test_duality_assignment_fixed_point_on_blocks():
     m = mstar()
-    words = assign_word_clusters(m.A, m.terms, m.docs, ({"d1"}, {"d2", "d3"}))
-    docs = assign_doc_clusters(m.A, m.terms, m.docs, words)
-    words2 = assign_word_clusters(m.A, m.terms, m.docs, docs)
-    docs2 = assign_doc_clusters(m.A, m.terms, m.docs, words2)
+    words = assign_words(m, ({"d1"}, {"d2", "d3"}))
+    docs = assign_docs(m, words)
+    words2 = assign_words(m, docs)
+    docs2 = assign_docs(m, words2)
     assert (words, docs) == (words2, docs2)
 
 
@@ -386,12 +385,7 @@ def test_report_ratio_cut_matches_graph_formula(tmp_path):
             {(terms[i], docs[j]): dense[i, j] for i, j in zip(*np.nonzero(dense))}, terms, docs
         )
         word_side, doc_side = rng.integers(2, size=w), rng.integers(2, size=d)
-        clustering = cc.CoClustering(
-            2,
-            tuple(frozenset(t for t, s in zip(terms, word_side) if s == g) for g in (0, 1)),
-            tuple(frozenset(x for x, s in zip(docs, doc_side) if s == g) for g in (0, 1)),
-            np.zeros((w + d, 1)),
-        )
+        clustering = cc.CoClustering.from_labels(m, 2, word_side, doc_side, np.zeros((w + d, 1)))
         cc.write_cluster_report(clustering, m, path)
         report = json.loads(path.read_text(encoding="utf-8"))
         v1 = clustering.word_clusters[0] | clustering.doc_clusters[0]

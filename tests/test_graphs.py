@@ -13,7 +13,7 @@ from semindex.graphs import (
     parse_pajek,
 )
 
-from conftest import mstar
+from conftest import dense, mstar
 
 
 def mstar_plus_w5():
@@ -67,15 +67,15 @@ def test_ego_weights_symmetric():
 
 def dense_ego_network(m, term):
     """Reference: the ego network written out over the dense matrix."""
-    dense = m.A.toarray()
+    A = dense(m)
     center = m.terms.index(term)
-    support = {m.docs[j] for j in range(len(m.docs)) if dense[center, j] > 0}
+    support = {m.docs[j] for j in range(len(m.docs)) if A[center, j] > 0}
     nodes = [(term, frozenset(support))]
     edges = []
     for i, other in enumerate(m.terms):
         if i == center:
             continue
-        shared = {m.docs[j] for j in range(len(m.docs)) if dense[i, j] > 0 and m.docs[j] in support}
+        shared = {m.docs[j] for j in range(len(m.docs)) if A[i, j] > 0 and m.docs[j] in support}
         if shared:
             edges.append((0, len(nodes), float(len(shared))))
             nodes.append((other, frozenset(shared)))
@@ -84,7 +84,7 @@ def dense_ego_network(m, term):
 
 def dense_cluster_graph(m, cc):
     """Reference: cross-cluster mass summed block by block over the dense matrix."""
-    dense = m.A.toarray()
+    A = dense(m)
     term_pos = {t: i for i, t in enumerate(m.terms)}
     doc_pos = {d: j for j, d in enumerate(m.docs)}
     nodes = tuple((f"cluster-{i + 1}", frozenset(cc.doc_clusters[i])) for i in range(cc.k))
@@ -95,7 +95,7 @@ def dense_cluster_graph(m, cc):
             for x, y in ((a, b), (b, a)):
                 rows = [term_pos[t] for t in cc.word_clusters[x]]
                 cols = [doc_pos[d] for d in cc.doc_clusters[y]]
-                mass += float(dense[np.ix_(rows, cols)].sum())
+                mass += float(A[np.ix_(rows, cols)].sum())
             if mass > 0:
                 edges.append((a, b, mass))
     return TermGraph(nodes, tuple(edges))
@@ -122,12 +122,7 @@ def test_graph_builders_match_dense_formulas():
         k = int(rng.integers(1, 5))
         word_labels = rng.integers(k, size=len(m.terms))
         doc_labels = rng.integers(k, size=len(m.docs))
-        cc = CoClustering(
-            k,
-            tuple(frozenset(t for t, g in zip(m.terms, word_labels) if g == c) for c in range(k)),
-            tuple(frozenset(d for d, g in zip(m.docs, doc_labels) if g == c) for c in range(k)),
-            np.zeros((0, 0)),
-        )
+        cc = CoClustering.from_labels(m, k, word_labels, doc_labels, np.zeros((0, 0)))
         assert cluster_graph(m, cc) == dense_cluster_graph(m, cc)
 
 

@@ -14,6 +14,8 @@ from semindex.cocluster import build_matrix
 from semindex.errors import EmptyMatrix, EmptyVocabulary
 from semindex.lexicon import MinCount, TopN, Vocabulary, build_vocabulary
 
+from conftest import dense
+
 # any Unicode but lone surrogates, which UTF-8 cannot encode
 any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 few_terms = st.sampled_from(["a", "b", "c", "d", "e", "port", "quay"])
@@ -160,7 +162,7 @@ def test_vocabulary_and_matrix_match_old_formulas(docs, other, threshold):
             assert m is old
             continue
         A, *labels = old
-        assert np.array_equal(m.A.toarray(), A)
+        assert np.array_equal(dense(m), A)
         assert [m.terms, m.docs, m.pruned_terms, m.pruned_docs] == labels
         assert m.row_degrees.tolist() == A.sum(axis=1).tolist()
         assert m.col_degrees.tolist() == A.sum(axis=0).tolist()
