@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import agents, kb as kbmod, lexicon, metrics
 from .corpus import ingest
-from .errors import MalformedIndexStore, MissingIndexStore, SemindexError
+from .errors import MalformedIndexStore, MissingIndexStore, SemindexError, read_text
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ _FLOAT_FIELDS = {"tau"}
 
 def load_config(path) -> Config:
     values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -65,6 +65,10 @@ def _apply(config: Config, values: dict) -> Config:
         raise SemindexError(f"tau must lie in [0,1], got {config.tau}")
     if config.k < 1:
         raise SemindexError(f"k must be >= 1, got {config.k}")
+    if config.seed < 0:
+        raise SemindexError(f"seed must be >= 0, got {config.seed}")
+    if config.level.lower() != "lexical":
+        raise SemindexError(f"level {config.level!r} is not implemented; only lexical is")
     return config
 
 
@@ -79,13 +83,6 @@ def parse_threshold(text: str):
         if count >= 0:
             return modes[kind](count)
     raise SemindexError(f"bad threshold_mode {text!r}, use min_count:N or top_n:N with N >= 0")
-
-
-def parse_level(text: str) -> lexicon.ExtractionLevel:
-    try:
-        return lexicon.ExtractionLevel(text.lower())
-    except ValueError:
-        raise SemindexError(f"unknown extraction level {text!r}") from None
 
 
 STATUS_CODES = frozenset(s.value for s in agents.TermStatus)
@@ -144,12 +141,10 @@ def _index_entries(documents):
 
 def read_index_store(path) -> lexicon.Postings:
     """The postings of the store's Index documents, in doc_id order."""
+    if not Path(path).exists():
+        raise MissingIndexStore(f"{path} not found; run `semindex index` first")
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise MissingIndexStore(f"{path} not found; run `semindex index` first") from None
-    try:
-        entries = list(_index_entries(json.loads(text)["documents"]))
+        entries = list(_index_entries(json.loads(read_text(path))["documents"]))
     except KeyError as exc:
         raise MalformedIndexStore(f"{path}: missing key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
@@ -183,12 +178,13 @@ def _load_corpus(config: Config):
 
 def cmd_index(config: Config) -> list:
     """Index the corpus; return the indexed documents."""
-    if parse_level(config.level) is lexicon.ExtractionLevel.PRAGMATIC:
-        raise SemindexError("pragmatic level is declared but unimplemented")
     kb = kbmod.load_kb(config.kb_path)
     corpus = _load_corpus(config)
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SemindexError(f"cannot create out_dir {out}: {exc.strerror}") from None
     pipe_config = agents.PipelineConfig(tau=config.tau, reference_year=config.reference_year)
     indexed, board = agents.run_pipeline(kb, corpus, pipe_config)
     agents.write_blackboard(board, out / "blackboard.xml")

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import DuplicateId, MissingMetadata, UnreadableFile
+from .errors import DuplicateId, MissingMetadata, read_text
 from .kb import KnowledgeBase
 
 
@@ -35,10 +34,7 @@ def ingest(paths) -> list:
     docs = []
     seen = set()
     for path in paths:
-        try:
-            raw = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise UnreadableFile(f"{path}: {exc}") from exc
+        raw = read_text(path)
         header, _, body = raw.partition("\n\n")
         fields = {}
         for line in header.splitlines():

@@ -1,8 +1,24 @@
-"""Exception hierarchy shared by all semindex modules."""
+"""Exception hierarchy shared by all semindex modules, and the reader of input files."""
+
+from pathlib import Path
 
 
 class SemindexError(Exception):
     """Base class for all domain errors raised by this package."""
+
+
+class UnreadableFile(SemindexError):
+    pass
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 input file; any failure to read it is an UnreadableFile."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UnreadableFile(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(f"cannot read {path}: not UTF-8 (byte {exc.start})") from None
 
 
 # knowledge base
@@ -27,15 +43,7 @@ class MissingMetadata(SemindexError):
     pass
 
 
-class UnreadableFile(SemindexError):
-    pass
-
-
 # lexicon
-class UnimplementedLevel(SemindexError):
-    pass
-
-
 class EmptyVocabulary(SemindexError):
     pass
 

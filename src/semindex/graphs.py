@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .cocluster import CoClustering, TermDocMatrix, label_mass
-from .errors import MalformedPajek, UnknownNode, UnknownTerm, UnwritableLabel
+from .errors import MalformedPajek, UnknownNode, UnknownTerm, UnwritableLabel, read_text
 
 
 class CombineMode(Enum):
@@ -132,7 +132,7 @@ _EDGE_RE = re.compile(r"^(\d+) (\d+) (\S+)$")
 
 def parse_pajek(path) -> TermGraph:
     """Read back a Pajek file written by export_pajek (payloads are lost)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     header = _HEADER_RE.match(lines[0]) if lines else None
     if not header:
         raise MalformedPajek(f"{path}: missing or bad *Vertices header")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import InconsistentKb, MalformedKb, UnknownTerm
+from .errors import InconsistentKb, MalformedKb, UnknownTerm, read_text
 
 CATEGORIES = frozenset(
     {
@@ -73,7 +73,7 @@ def _check_word(word, what: str) -> str:
 
 def load_kb(path) -> KnowledgeBase:
     """Parse and validate a KB file, raising MalformedKb / InconsistentKb."""
-    raw = Path(path).read_text(encoding="utf-8")
+    raw = read_text(path)
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:

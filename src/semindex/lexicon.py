@@ -1,23 +1,13 @@
-"""Term extraction levels, heuristic stemming, and vocabulary thresholding."""
+"""Heuristic stemming, the postings of Index documents, and vocabulary thresholding."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import EmptyVocabulary, UnimplementedLevel
-from .kb import KnowledgeBase, normalize_term, quasi_synonyms
-
-
-class ExtractionLevel(Enum):
-    GRAPHEME = "grapheme"
-    LEXICAL = "lexical"
-    SYNTACTIC = "syntactic"
-    SEMANTIC = "semantic"
-    PRAGMATIC = "pragmatic"  # accepted in config, never implemented
+from .errors import EmptyVocabulary
 
 
 # ordered suffix rules; guards keep very short stems intact
@@ -51,57 +41,6 @@ def stem(word: str) -> str:
         if reduced == word:
             return word
         word = reduced
-
-
-def extract_terms(kb: KnowledgeBase, tokens, level: ExtractionLevel) -> list:
-    """Produce index term candidates for one extraction level.
-
-    Grapheme emits character 3-grams; the other levels start from a lexical
-    pass that skips link-like tokens (containing '/') and acronyms kept in
-    their original all-caps spelling.
-    """
-    if level is ExtractionLevel.PRAGMATIC:
-        raise UnimplementedLevel("pragmatic extraction requires live user context")
-
-    if level is ExtractionLevel.GRAPHEME:
-        grams = []
-        for tok in tokens:
-            text = tok.text.lower()
-            if len(text) < 3:
-                grams.append(text)
-            else:
-                grams.extend(text[i : i + 3] for i in range(len(text) - 2))
-        return grams
-
-    lexical = []
-    for tok in tokens:
-        if "/" in tok.text:
-            continue
-        if tok.text.isupper():
-            continue
-        lexical.append(tok.text.lower())
-
-    if level is ExtractionLevel.LEXICAL:
-        return lexical
-
-    if level is ExtractionLevel.SYNTACTIC:
-        out = []
-        for term in lexical:
-            rec = kb.records.get(term)
-            out.append(f"{term}/{rec.category}" if rec is not None else term)
-        return out
-
-    # semantic: canonicalize through synonym classes, append hyperonyms
-    out = []
-    for term in lexical:
-        canonical = normalize_term(kb, term) or term
-        out.append(canonical)
-        if canonical in kb.canonical_classes:
-            for linked in sorted(quasi_synonyms(kb, canonical)):
-                rec = kb.records.get(linked)
-                if rec is not None and rec.category == "hyperonym":
-                    out.append(linked)
-    return out
 
 
 @dataclass(frozen=True)

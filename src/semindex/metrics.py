@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from pathlib import Path
 
-from .errors import MalformedGold, NoOverlap
+from .errors import MalformedGold, NoOverlap, read_text
 
 
 def load_gold(path) -> dict:
     """TSV with one `doc_id<TAB>term` pair per line."""
     gold = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         doc_id, sep, term = line.partition("\t")

@@ -31,9 +31,10 @@ def test_load_config_defaults_and_overrides(tmp_path):
 
 def test_bad_tau_rejected(tmp_path):
     path = tmp_path / "c.ini"
-    path.write_text("tau = 2.0\n", encoding="utf-8")
-    with pytest.raises(SemindexError):
-        load_config(path)
+    for text in ("tau = 2.0\n", "seed = -1\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SemindexError):
+            load_config(path)
 
 
 def test_parse_threshold():
@@ -168,10 +169,58 @@ def test_pipeline_end_to_end_byte_identical(tmp_path):
     assert snapshots[0] == snapshots[1]
 
 
-def test_pragmatic_level_rejected(tmp_path):
+def test_pragmatic_level_rejected(tmp_path, capsys):
     out = tmp_path / "out"
-    code = run_cli("index", "--config", CONFIG, "--out_dir", str(out), "--level", "pragmatic")
-    assert code == 1
+    for command, level in (("index", "pragmatic"), ("index", "semantic"), ("cluster", "semantic")):
+        code = run_cli(command, "--config", CONFIG, "--out_dir", str(out), "--level", level)
+        assert code == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
+def _not_utf8(path):
+    """`path`, written with a byte that is not UTF-8."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"id: d99\n\xff\n")
+    return path
+
+
+def _corpus_with_bad_document(tmp_path):
+    shutil.copytree(MINI / "docs", tmp_path / "docs")
+    with (tmp_path / "docs" / "d03.txt").open("ab") as f:
+        f.write(b"\xff")
+    return tmp_path / "docs" / "d03.txt"
+
+
+def _directory(path):
+    path.mkdir(parents=True)
+    return path
+
+
+# case -> (the input file that cannot be read, the command line), made under tmp_path t
+UNREADABLE = {
+    "config-missing": lambda t: (t / "nope.ini", ["index", "--config", str(t / "nope.ini")]),
+    "kb-missing": lambda t: (t / "nope.json", ["index", "--config", CONFIG, "--kb_path", str(t / "nope.json")]),
+    "gold-missing": lambda t: (t / "nope.tsv", ["pipeline", "--config", CONFIG, "--gold_path", str(t / "nope.tsv")]),
+    "config-not-utf8": lambda t: (_not_utf8(t / "c.ini"), ["index", "--config", str(t / "c.ini")]),
+    "document-not-utf8": lambda t: (_corpus_with_bad_document(t),
+                                    ["index", "--config", CONFIG, "--corpus_dir", str(t / "docs")]),
+    "store-not-utf8": lambda t: (_not_utf8(t / "out" / "index_store.json"), ["cluster", "--config", CONFIG]),
+    "store-is-directory": lambda t: (_directory(t / "out" / "index_store.json"), ["cluster", "--config", CONFIG]),
+    "out-dir-under-file": lambda t: (t / "afile" / "x", ["index", "--config", CONFIG]),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_unreadable_input_is_domain_error(tmp_path, capsys, case):
+    (tmp_path / "afile").write_text("not a directory", encoding="utf-8")
+    path, argv = UNREADABLE[case](tmp_path)
+    out = path if case == "out-dir-under-file" else tmp_path / "out"
+    assert run_cli(*argv, "--out_dir", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: errors.")
+    assert str(path) in err[0]
 
 
 def _count_calls(monkeypatch, module, name):
@@ -221,7 +270,8 @@ def test_pipeline_matches_separate_commands(tmp_path, capsys):
         assert (piped / name).read_bytes() == (steps / name).read_bytes(), name
 
 
-# --- start-up: numpy and scipy load only in the commands that compute with them
+# --- start-up: numpy loads only in the commands that compute with it, scipy only above
+# the dense-SVD cutoff
 
 _LOADED = """\
 import sys
@@ -267,6 +317,32 @@ def test_help_exits_zero():
 ], ids=["help", "usage-error", "config-error"])
 def test_startup_paths_load_neither_numpy_nor_scipy(argv, status):
     assert _libraries_after(*argv) == f"{status} []"
+
+
+def test_pipeline_and_ego_export_load_no_scipy(tmp_path):
+    out = str(tmp_path / "out")
+    assert _libraries_after("pipeline", "--config", CONFIG, "--out_dir", out) == "0 ['numpy']"
+    assert _libraries_after("export", "--config", CONFIG, "--out_dir", out,
+                            "--term", "america") == "0 ['numpy']"
+
+
+_ABOVE_CUTOFF = """\
+import sys
+from semindex import cocluster as cc
+n = 1025  # n x (n - 1) entries, one in each row
+m = cc.matrix_from_counts({(i, i % (n - 1)): 1 for i in range(n)}, range(n), range(n - 1))
+assert m.shape[0] * m.shape[1] > cc._DENSE_ENTRIES
+before = "scipy" in sys.modules
+An = cc.normalize_matrix(m)
+print(before, type(An).__module__.startswith("scipy.sparse"), "scipy.sparse" in sys.modules)
+"""
+
+
+def test_normalizing_above_dense_cutoff_loads_scipy_sparse():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run([sys.executable, "-c", _ABOVE_CUTOFF], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True", "True"]
 
 
 def test_index_loads_neither_numpy_nor_scipy_and_eval_no_scipy(tmp_path):

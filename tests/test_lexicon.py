@@ -3,16 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semindex.cli import index_postings
-from semindex.corpus import Token
-from semindex.errors import EmptyVocabulary, UnimplementedLevel
-from semindex.lexicon import (
-    ExtractionLevel,
-    MinCount,
-    TopN,
-    build_vocabulary,
-    extract_terms,
-    stem,
-)
+from semindex.errors import EmptyVocabulary
+from semindex.lexicon import MinCount, TopN, build_vocabulary, stem
 
 from conftest import make_doc
 
@@ -39,39 +31,6 @@ def test_stem_rule_table(word, expected):
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=15))
 def test_stem_idempotent(word):
     assert stem(stem(word)) == stem(word)
-
-
-def toks(*words):
-    return [Token(w, i) for i, w in enumerate(words)]
-
-
-def test_grapheme_level_three_grams(mini_kb):
-    assert extract_terms(mini_kb, toks("port"), ExtractionLevel.GRAPHEME) == ["por", "ort"]
-    assert extract_terms(mini_kb, toks("ab"), ExtractionLevel.GRAPHEME) == ["ab"]
-
-
-def test_lexical_level_skips_links_and_acronyms(mini_kb):
-    tokens = toks("port", "http://x.y", "NATO", "unknownword")
-    assert extract_terms(mini_kb, tokens, ExtractionLevel.LEXICAL) == ["port", "unknownword"]
-
-
-def test_syntactic_level_annotates_categories(mini_kb):
-    out = extract_terms(mini_kb, toks("port", "unknownword"), ExtractionLevel.SYNTACTIC)
-    assert out == ["port/noun", "unknownword"]
-
-
-def test_semantic_level_canonicalizes(mini_kb):
-    assert extract_terms(mini_kb, toks("harbor"), ExtractionLevel.SEMANTIC) == ["port"]
-
-
-def test_semantic_level_appends_hyperonyms(mini_kb):
-    # crane's class is quasi-linked to the hyperonym class "facility"
-    assert extract_terms(mini_kb, toks("crane"), ExtractionLevel.SEMANTIC) == ["crane", "facility"]
-
-
-def test_pragmatic_level_unimplemented(mini_kb):
-    with pytest.raises(UnimplementedLevel):
-        extract_terms(mini_kb, toks("port"), ExtractionLevel.PRAGMATIC)
 
 
 def test_build_vocabulary_min_count():
