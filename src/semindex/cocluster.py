@@ -95,8 +95,8 @@ class CoClustering:
                    word_labels, doc_labels, tuple(dropped_groups))
 
 
-def _counts(row, col, count) -> Counts:
-    order = np.lexsort((col, row))
+def _counts(row, col, count, n_cols: int) -> Counts:
+    order = np.argsort(row * n_cols + col)  # the (row, col) pairs are distinct
     return Counts(row[order], col[order], count[order])
 
 
@@ -113,8 +113,9 @@ def build_matrix(vocab: Vocabulary, postings: Postings) -> TermDocMatrix:
     col_deg = np.bincount(col, count, len(postings.docs))
     keep_rows = np.flatnonzero(row_deg > 0)
     keep_cols = np.flatnonzero(col_deg > 0)
+    kept_row, kept_col = np.cumsum(row_deg > 0)[row] - 1, np.cumsum(col_deg > 0)[col] - 1
     return TermDocMatrix(
-        A=_counts(np.cumsum(row_deg > 0)[row] - 1, np.cumsum(col_deg > 0)[col] - 1, count),
+        A=_counts(kept_row, kept_col, count, len(keep_cols)),
         terms=tuple(vocab.terms[i] for i in keep_rows),
         docs=tuple(postings.docs[j] for j in keep_cols),
         row_degrees=row_deg[keep_rows],
@@ -131,7 +132,7 @@ def matrix_from_counts(counts: dict, terms, docs) -> TermDocMatrix:
     ti = {t: i for i, t in enumerate(terms)}
     dj = {d: j for j, d in enumerate(docs)}
     cells = np.array([(ti[t], dj[d], c) for (t, d), c in counts.items() if c], float).reshape(-1, 3)
-    A = _counts(cells[:, 0].astype(np.intp), cells[:, 1].astype(np.intp), cells[:, 2])
+    A = _counts(cells[:, 0].astype(np.intp), cells[:, 1].astype(np.intp), cells[:, 2], len(docs))
     row_deg = np.bincount(A.row, A.count, len(terms))
     col_deg = np.bincount(A.col, A.count, len(docs))
     if (row_deg == 0).any() or (col_deg == 0).any():
@@ -340,7 +341,8 @@ def cocluster(m: TermDocMatrix, k: int, seed: int, refine_passes: int = 1) -> Co
     """Full co-clustering: normalize, embed, k-means, duality refinement."""
     w, d = m.shape
     if k == 1:
-        return CoClustering.from_labels(m, 1, np.zeros(w, int), np.zeros(d, int), np.zeros((w + d, 1)))
+        zeros = np.zeros(w + d, int)
+        return CoClustering.from_labels(m, 1, zeros[:w], zeros[w:], np.zeros((w + d, 1)))
     An = normalize_matrix(m)
     Z = spectral_embed(An, m.row_degrees, m.col_degrees, k)
     # k-means document groups left empty are dropped; the rest keep their order

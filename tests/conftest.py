@@ -59,17 +59,21 @@ def dense(m):
     return A
 
 
+def _labels(parts, names):
+    return np.array([next(g for g, part in enumerate(parts) if x in part) for x in names])
+
+
+def _parts(labels, names, k):
+    return tuple(frozenset(x for x, g in zip(names, labels) if g == c) for c in range(k))
+
+
 def assign_words(m, doc_parts):
-    """assign_word_clusters over clusters given as sets of labels, returned as frozensets."""
+    """assign_word_clusters with the clusters given and returned as sets of labels."""
     k = len(doc_parts)
-    doc_labels = np.array([next(g for g, part in enumerate(doc_parts) if x in part) for x in m.docs])
-    labels = assign_word_clusters(m, doc_labels, k)
-    return tuple(frozenset(t for t, g in zip(m.terms, labels) if g == c) for c in range(k))
+    return _parts(assign_word_clusters(m, _labels(doc_parts, m.docs), k), m.terms, k)
 
 
 def assign_docs(m, word_parts):
-    """assign_doc_clusters over clusters given as sets of labels, returned as frozensets."""
+    """assign_doc_clusters with the clusters given and returned as sets of labels."""
     k = len(word_parts)
-    word_labels = np.array([next(g for g, part in enumerate(word_parts) if x in part) for x in m.terms])
-    labels = assign_doc_clusters(m, word_labels, k)
-    return tuple(frozenset(d for d, g in zip(m.docs, labels) if g == c) for c in range(k))
+    return _parts(assign_doc_clusters(m, _labels(word_parts, m.terms), k), m.docs, k)

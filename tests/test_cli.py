@@ -200,13 +200,17 @@ def _directory(path):
 # case -> (the input file that cannot be read, the command line), made under tmp_path t
 UNREADABLE = {
     "config-missing": lambda t: (t / "nope.ini", ["index", "--config", str(t / "nope.ini")]),
-    "kb-missing": lambda t: (t / "nope.json", ["index", "--config", CONFIG, "--kb_path", str(t / "nope.json")]),
-    "gold-missing": lambda t: (t / "nope.tsv", ["pipeline", "--config", CONFIG, "--gold_path", str(t / "nope.tsv")]),
+    "kb-missing": lambda t: (
+        t / "nope.json", ["index", "--config", CONFIG, "--kb_path", str(t / "nope.json")]),
+    "gold-missing": lambda t: (
+        t / "nope.tsv", ["pipeline", "--config", CONFIG, "--gold_path", str(t / "nope.tsv")]),
     "config-not-utf8": lambda t: (_not_utf8(t / "c.ini"), ["index", "--config", str(t / "c.ini")]),
-    "document-not-utf8": lambda t: (_corpus_with_bad_document(t),
-                                    ["index", "--config", CONFIG, "--corpus_dir", str(t / "docs")]),
-    "store-not-utf8": lambda t: (_not_utf8(t / "out" / "index_store.json"), ["cluster", "--config", CONFIG]),
-    "store-is-directory": lambda t: (_directory(t / "out" / "index_store.json"), ["cluster", "--config", CONFIG]),
+    "document-not-utf8": lambda t: (
+        _corpus_with_bad_document(t), ["index", "--config", CONFIG, "--corpus_dir", str(t / "docs")]),
+    "store-not-utf8": lambda t: (
+        _not_utf8(t / "out" / "index_store.json"), ["cluster", "--config", CONFIG]),
+    "store-is-directory": lambda t: (
+        _directory(t / "out" / "index_store.json"), ["cluster", "--config", CONFIG]),
     "out-dir-under-file": lambda t: (t / "afile" / "x", ["index", "--config", CONFIG]),
 }
 
@@ -340,7 +344,8 @@ print(before, type(An).__module__.startswith("scipy.sparse"), "scipy.sparse" in 
 
 def test_normalizing_above_dense_cutoff_loads_scipy_sparse():
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    result = subprocess.run([sys.executable, "-c", _ABOVE_CUTOFF], env=env, capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", _ABOVE_CUTOFF], env=env,
+                            capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "True", "True"]
 
