@@ -1,19 +1,20 @@
 """Five-agent indexing pipeline over an append-only blackboard.
 
-Each document flows through tokenize -> reading -> standardizing ->
-proposition, then is routed Index / StoreOnly / Discard.  Term statuses
-follow the four-valued scheme: Initial, Accepted, Rejected, MorphError.
+One pass over a document's words runs tokenize -> reading ->
+standardizing and folds their terms into the document's term map, which
+proposition then checks; run_pipeline routes the document Index /
+StoreOnly / Discard.  Term statuses follow the four-valued scheme:
+Initial, Accepted, Rejected, MorphError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 from .corpus import tokenize
-from .errors import SemindexError
+from .errors import write_text
 from .kb import KnowledgeBase, normalize_term, quasi_synonyms
 from .lexicon import stem
 
@@ -33,27 +34,11 @@ class Routing(Enum):
     DISCARD = "Discard"
 
 
-class Dispatch(Enum):
-    TO_READING = "ToReading"
-    TO_RELEVANCE = "ToRelevance"
-
-
-class Verdict(Enum):
-    RELEVANT = "Relevant"
-    OBSOLETE = "Obsolete"
-    IRRELEVANT = "Irrelevant"
-
-
 @dataclass(frozen=True)
 class IndexedDocument:
     doc_id: str
     terms: dict  # canonical -> (count, TermStatus)
     routing: Routing
-
-    def accepted_counts(self) -> dict:
-        return {
-            t: n for t, (n, s) in self.terms.items() if s is TermStatus.ACCEPTED
-        }
 
 
 @dataclass(frozen=True)
@@ -64,49 +49,24 @@ class BlackboardEntry:
     terms: dict  # accepted canonical -> count
 
 
-@dataclass
-class Blackboard:
-    entries: list = field(default_factory=list)
-
-    @property
-    def last_entry(self):
-        return self.entries[-1] if self.entries else None
-
-    def append(self, entry: BlackboardEntry) -> None:
-        self.entries.append(entry)
+def query_agent(term_map: dict, known_terms: set) -> bool:
+    """Whether the document carries a term the system has never seen."""
+    return not known_terms.issuperset(term_map)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    tau: float = 0.2
-    reference_year: int = 2010
+def reading_agent(kb: KnowledgeBase, words) -> list:
+    """Candidate terms: the words that are not stop words."""
+    return [word for word in words if word not in kb.stop_words]
 
 
-def query_agent(doc_terms: set, known_terms: set) -> Dispatch:
-    """Documents carrying terms the system has never seen go to reading."""
-    return Dispatch.TO_READING if doc_terms - known_terms else Dispatch.TO_RELEVANCE
+def standardizing_agent(kb: KnowledgeBase, words) -> list:
+    """(term, status) of each candidate: its canonical, stemming on a failed first lookup.
 
-
-def reading_agent(kb: KnowledgeBase, tokens) -> list:
-    """Candidate terms: every KB surface plus unknown non-stop tokens."""
-    out = []
-    for tok in tokens:
-        if tok.text in kb.stop_words:
-            continue
-        out.append((tok.text, TermStatus.INITIAL))
-    return out
-
-
-def standardizing_agent(kb: KnowledgeBase, candidates) -> list:
-    """Map candidates to canonicals, stemming on a failed first lookup.
-
-    Stop words and single-character terms are dropped outright; candidates
+    Stop words and single-character words are dropped outright; candidates
     that fail both lookups come back flagged MorphError.
     """
     out = []
-    for surface, status in candidates:
-        if status is not TermStatus.INITIAL:
-            raise SemindexError(f"standardizing expects Initial terms, got {status}")
+    for surface in words:
         if surface in kb.stop_words or len(surface) <= 1:
             continue
         canonical = normalize_term(kb, surface)
@@ -124,8 +84,8 @@ def standardizing_agent(kb: KnowledgeBase, candidates) -> list:
     return out
 
 
-def proposition_agent(kb: KnowledgeBase, terms) -> list:
-    """Rescue MorphError terms reachable from an accepted quasi-synonym.
+def proposition_agent(kb: KnowledgeBase, term_map: dict) -> dict:
+    """Accept the MorphError terms that an accepted term's quasi-synonyms reach; returns a new map.
 
     On standardizing's output the rescue never fires: only canonicals are
     reachable, every canonical is a member of its own class and so
@@ -134,16 +94,14 @@ def proposition_agent(kb: KnowledgeBase, terms) -> list:
     kept as the fifth of the paper's agents.
     """
     reachable = set()
-    for term, status in terms:
+    for term, (_, status) in term_map.items():
         if status is TermStatus.ACCEPTED and term in kb.canonical_classes:
             reachable |= quasi_synonyms(kb, term)
-    out = []
-    for term, status in terms:
-        if status is TermStatus.MORPH_ERROR and term in reachable:
-            out.append((term, TermStatus.ACCEPTED))
-        else:
-            out.append((term, status))
-    return out
+    return term_map | {
+        term: (n, TermStatus.ACCEPTED)
+        for term, (n, status) in term_map.items()
+        if status is TermStatus.MORPH_ERROR and term in reachable
+    }
 
 
 def _cosine(a: dict, b: dict) -> float:
@@ -159,25 +117,21 @@ def _cosine(a: dict, b: dict) -> float:
     return dot / (na * nb)
 
 
-def relevance_agent(board: Blackboard, doc: IndexedDocument, doc_year: int,
-                    reference_year: int, tau: float) -> Verdict:
-    """Age gate, then thematic cosine against the last blackboard entry."""
-    if reference_year - doc_year > OBSOLESCENCE_YEARS:
-        return Verdict.OBSOLETE
-    last = board.last_entry
-    if last is None:
-        return Verdict.RELEVANT
-    cos = _cosine(doc.accepted_counts(), last.terms)
-    return Verdict.RELEVANT if cos >= tau else Verdict.IRRELEVANT
+def relevance_agent(last_terms, accepted: dict, tau: float) -> bool:
+    """Whether the accepted counts lie within cosine `tau` of the last blackboard entry's.
+
+    With no entry yet (`last_terms` None) every document is relevant.
+    """
+    return last_terms is None or _cosine(accepted, last_terms) >= tau
 
 
-def write_blackboard(board: Blackboard, path) -> None:
-    """Serialize the blackboard as deterministic two-space-indented XML."""
+def write_blackboard(entries, path) -> None:
+    """Serialize the blackboard entries as deterministic two-space-indented XML."""
     # deferred: xml.sax pulls in urllib and email, which only this writer needs
     from xml.sax.saxutils import quoteattr
 
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<blackboard>"]
-    for entry in board.entries:
+    for entry in entries:
         lines.append(
             f"  <doc id={quoteattr(entry.doc_id)} routing={quoteattr(entry.routing.value)} "
             f"year={quoteattr(str(entry.year))}>"
@@ -186,70 +140,60 @@ def write_blackboard(board: Blackboard, path) -> None:
             lines.append(f"    <term c={quoteattr(term)} n={quoteattr(str(entry.terms[term]))}/>")
         lines.append("  </doc>")
     lines.append("</blackboard>")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
-def _aggregate(terms) -> dict:
-    counts = {}
-    for term, status in terms:
-        if term in counts:
-            n, old = counts[term]
-            # Accepted wins when the same string arrives with both statuses
-            merged = TermStatus.ACCEPTED if TermStatus.ACCEPTED in (old, status) else old
-            counts[term] = (n + 1, merged)
-        else:
-            counts[term] = (1, status)
-    return counts
-
-
-def process_document(kb: KnowledgeBase, doc, words=None) -> dict:
-    """Per-document stage chain.
+def process_document(kb: KnowledgeBase, doc, words: dict) -> dict:
+    """The document's term map {term: (count, status)}, in first-occurrence order.
 
     `words` memoizes tokenize, reading and standardizing per lowercased
     word: their terms depend only on the KB and the word, so calls with the
     same KB may share one dict.  Calls run in parallel need a dict each.
     """
-    if words is None:
-        words = {}
-    standardized = []
+    term_map = {}
     for raw in doc.text.split():
         # tokenize cleans each whitespace-split word on its own, lowercased
         key = raw.lower()
         terms = words.get(key)
         if terms is None:
             terms = words[key] = standardizing_agent(kb, reading_agent(kb, tokenize(kb, raw)))
-        standardized += terms
-    return _aggregate(proposition_agent(kb, standardized))
+        for term, status in terms:
+            n, old = term_map.get(term, (0, status))
+            # Accepted wins when the same string arrives with both statuses
+            term_map[term] = (n + 1, status if status is TermStatus.ACCEPTED else old)
+    # a merged status is Accepted exactly when one occurrence was, so one
+    # proposition pass over the distinct terms rescues what a pass per word would
+    return proposition_agent(kb, term_map)
 
 
-def run_pipeline(kb: KnowledgeBase, corpus, config: PipelineConfig):
-    """Route every document, appending the kept ones to the blackboard.
+def _accepted_counts(term_map: dict) -> dict:
+    return {t: n for t, (n, s) in term_map.items() if s is TermStatus.ACCEPTED}
 
-    Returns (indexed documents in corpus order, blackboard).  A document can
-    only reach Index or StoreOnly when it is not obsolete relative to the
-    configured reference year.
+
+def run_pipeline(kb: KnowledgeBase, corpus, tau: float, reference_year: int):
+    """Route every document; return (indexed documents, blackboard entries), in corpus order.
+
+    A document more than OBSOLESCENCE_YEARS older than `reference_year` is
+    discarded; one with a term never seen before is indexed; any other is
+    stored only when relevant to the last entry, else discarded.  Every
+    document kept becomes an entry.
     """
-    board = Blackboard()
     known = set(kb.canonical_classes)
     words = {}  # per call: another KB gives other terms
-    results = []
+    documents, entries = [], []
     for doc in corpus:
         term_map = process_document(kb, doc, words)
-        doc_terms = set(term_map)
-        dispatch = query_agent(doc_terms, known)
-        draft = IndexedDocument(doc.id, term_map, Routing.DISCARD)
-
-        if config.reference_year - doc.year > OBSOLESCENCE_YEARS:
+        if reference_year - doc.year > OBSOLESCENCE_YEARS:
             routing = Routing.DISCARD
-        elif dispatch is Dispatch.TO_READING:
-            routing = Routing.INDEX
+        elif query_agent(term_map, known):
+            routing, accepted = Routing.INDEX, _accepted_counts(term_map)
         else:
-            verdict = relevance_agent(board, draft, doc.year, config.reference_year, config.tau)
-            routing = Routing.STORE_ONLY if verdict is Verdict.RELEVANT else Routing.DISCARD
-
-        indexed = IndexedDocument(doc.id, term_map, routing)
-        results.append(indexed)
+            accepted = _accepted_counts(term_map)
+            last = entries[-1].terms if entries else None
+            relevant = relevance_agent(last, accepted, tau)
+            routing = Routing.STORE_ONLY if relevant else Routing.DISCARD
+        documents.append(IndexedDocument(doc.id, term_map, routing))
         if routing is not Routing.DISCARD:
-            board.append(BlackboardEntry(doc.id, routing, doc.year, indexed.accepted_counts()))
-            known |= doc_terms
-    return results, board
+            entries.append(BlackboardEntry(doc.id, routing, doc.year, accepted))
+            known.update(term_map)
+    return documents, entries

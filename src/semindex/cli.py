@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import agents, kb as kbmod, lexicon, metrics
 from .corpus import ingest
-from .errors import MalformedIndexStore, MissingIndexStore, SemindexError, read_text
+from .errors import MalformedIndexStore, MissingIndexStore, SemindexError, read_text, write_text
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,8 @@ def _apply(config: Config, values: dict) -> Config:
         raise SemindexError(f"tau must lie in [0,1], got {config.tau}")
     if config.k < 1:
         raise SemindexError(f"k must be >= 1, got {config.k}")
+    if config.refine_passes < 1:
+        raise SemindexError(f"refine_passes must be >= 1, got {config.refine_passes}")
     if config.seed < 0:
         raise SemindexError(f"seed must be >= 0, got {config.seed}")
     if config.level.lower() != "lexical":
@@ -115,7 +117,7 @@ def write_index_store(indexed_docs, years: dict, path) -> None:
             f"    }}"
         )
     documents = _braced(",\n".join(docs), 2)
-    Path(path).write_text(f'{{\n  "documents": {documents}\n}}\n', encoding="utf-8")
+    write_text(path, f'{{\n  "documents": {documents}\n}}\n')
 
 
 def _index_entries(documents):
@@ -185,9 +187,8 @@ def cmd_index(config: Config) -> list:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise SemindexError(f"cannot create out_dir {out}: {exc.strerror}") from None
-    pipe_config = agents.PipelineConfig(tau=config.tau, reference_year=config.reference_year)
-    indexed, board = agents.run_pipeline(kb, corpus, pipe_config)
-    agents.write_blackboard(board, out / "blackboard.xml")
+    indexed, entries = agents.run_pipeline(kb, corpus, config.tau, config.reference_year)
+    agents.write_blackboard(entries, out / "blackboard.xml")
     years = {doc.id: doc.year for doc in corpus}
     write_index_store(indexed, years, out / "index_store.json")
     return indexed

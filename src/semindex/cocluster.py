@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import compress
-from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .errors import (
     NoConvergence,
     TooLarge,
     ZeroDegree,
+    write_text,
 )
 from .lexicon import Postings, Vocabulary
 
@@ -55,8 +55,6 @@ class TermDocMatrix:
     docs: tuple
     row_degrees: np.ndarray
     col_degrees: np.ndarray
-    pruned_terms: tuple = ()
-    pruned_docs: tuple = ()
 
     @property
     def shape(self) -> tuple:
@@ -120,8 +118,6 @@ def build_matrix(vocab: Vocabulary, postings: Postings) -> TermDocMatrix:
         docs=tuple(postings.docs[j] for j in keep_cols),
         row_degrees=row_deg[keep_rows],
         col_degrees=col_deg[keep_cols],
-        pruned_terms=tuple(vocab.terms[i] for i in np.flatnonzero(row_deg == 0)),
-        pruned_docs=tuple(postings.docs[j] for j in np.flatnonzero(col_deg == 0)),
     )
 
 
@@ -347,7 +343,7 @@ def cocluster(m: TermDocMatrix, k: int, seed: int, refine_passes: int = 1) -> Co
     Z = spectral_embed(An, m.row_degrees, m.col_degrees, k)
     # k-means document groups left empty are dropped; the rest keep their order
     groups, doc_labels = np.unique(kmeans_partition(Z, k, seed)[w:], return_inverse=True)
-    for _ in range(max(1, refine_passes)):
+    for _ in range(refine_passes):
         word_labels = assign_word_clusters(m, doc_labels, len(groups))
         doc_labels = assign_doc_clusters(m, word_labels, len(groups))
     dropped = np.setdiff1d(np.arange(k), groups).tolist()
@@ -373,7 +369,4 @@ def write_cluster_report(cc: CoClustering, m: TermDocMatrix, path) -> None:
             mass = label_mass(m, cc.word_labels, cc.doc_labels, (2, 2))
             cut = float(mass[0, 1] + mass[1, 0])
             report["ratio_cut_2way"] = cut / sides[0] + cut / sides[1]
-    Path(path).write_text(
-        json.dumps(report, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_text(path, json.dumps(report, indent=2, ensure_ascii=False, sort_keys=True) + "\n")

@@ -23,12 +23,6 @@ class Document:
     text: str
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    position: int
-
-
 def ingest(paths) -> list:
     """Read document files in the given order; duplicate ids are rejected."""
     docs = []
@@ -82,7 +76,8 @@ def _clean_word(kb: KnowledgeBase, word: str, out: list, seen: frozenset) -> Non
 
 
 def tokenize(kb: KnowledgeBase, text: str) -> list:
+    """The cleaned words of `text`, in order."""
     words = []
     for raw in text.split():
         _clean_word(kb, raw.lower(), words, frozenset())
-    return [Token(w, i) for i, w in enumerate(words)]
+    return words

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all semindex modules, and the reader of input files."""
+"""Exception hierarchy shared by all semindex modules, and the reader and writer of files."""
 
 from pathlib import Path
 
@@ -19,6 +19,18 @@ def read_text(path) -> str:
         raise UnreadableFile(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise UnreadableFile(f"cannot read {path}: not UTF-8 (byte {exc.start})") from None
+
+
+class UnwritableFile(SemindexError):
+    pass
+
+
+def write_text(path, text: str) -> None:
+    """Write an output file in UTF-8 with LF line endings; any failure is an UnwritableFile."""
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise UnwritableFile(f"cannot write {path}: {exc.strerror}") from None
 
 
 # knowledge base

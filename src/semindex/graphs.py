@@ -10,12 +10,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from .cocluster import CoClustering, TermDocMatrix, label_mass
-from .errors import MalformedPajek, UnknownNode, UnknownTerm, UnwritableLabel, read_text
+from .errors import (
+    MalformedPajek,
+    UnknownNode,
+    UnknownTerm,
+    UnwritableLabel,
+    read_text,
+    write_text,
+)
 
 
 class CombineMode(Enum):
@@ -122,7 +128,7 @@ def export_pajek(g: TermGraph, path) -> None:
     lines.append("*Edges")
     for u, v, w in g.edges:
         lines.append(f"{u + 1} {v + 1} {_format_weight(w)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 _HEADER_RE = re.compile(r"^\*Vertices (\d+)$")

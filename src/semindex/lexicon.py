@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
-from pathlib import Path
 
-from .errors import EmptyVocabulary
+from .errors import EmptyVocabulary, write_text
 
 
 # ordered suffix rules; guards keep very short stems intact
@@ -133,4 +132,4 @@ def build_vocabulary(postings: Postings, threshold_mode) -> Vocabulary:
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
     lines = [f"{t}\t{vocab.scores[t]:g}" for t in vocab.terms]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")

@@ -19,24 +19,12 @@ def load_gold(path) -> dict:
     return gold
 
 
-def precision_recall(produced: dict, gold: dict, macro: bool = False):
-    """Micro-averaged by default; macro averages per-document ratios."""
+def precision_recall(produced: dict, gold: dict):
+    """Micro-averaged over every document id of either side."""
     if not set(produced) & set(gold):
         raise NoOverlap("produced and gold share no document ids")
-    doc_ids = sorted(set(produced) | set(gold))
-    if macro:
-        ps, rs = [], []
-        for doc_id in doc_ids:
-            p_terms = produced.get(doc_id, set())
-            g_terms = gold.get(doc_id, set())
-            if not p_terms and not g_terms:
-                continue
-            hit = len(p_terms & g_terms)
-            ps.append(hit / len(p_terms) if p_terms else 0.0)
-            rs.append(hit / len(g_terms) if g_terms else 1.0)
-        return (sum(ps) / len(ps), sum(rs) / len(rs)) if ps else (0.0, 0.0)
     hits = produced_total = gold_total = 0
-    for doc_id in doc_ids:
+    for doc_id in set(produced) | set(gold):
         p_terms = produced.get(doc_id, set())
         g_terms = gold.get(doc_id, set())
         hits += len(p_terms & g_terms)

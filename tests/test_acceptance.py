@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from semindex import cli
-from semindex.agents import PipelineConfig, Routing, TermStatus, run_pipeline, write_blackboard
+from semindex.agents import Routing, TermStatus, run_pipeline, write_blackboard
 from semindex.cocluster import (
     brute_force_min_ratio_cut,
     cocluster,
@@ -249,26 +249,23 @@ def test_criterion_6_pipeline_invariants(tmp_path):
         rng = np.random.default_rng(99)
         docs = _random_documents(kb, 1000, rng)
         for doc in docs[:200]:
-            for tok in tokenize(kb, doc.text):
-                assert tok.text and tok.text == tok.text.lower()
-                assert not tok.text.endswith(".")
-                assert not (
-                    any(c.isalpha() for c in tok.text) and any(c.isdigit() for c in tok.text)
-                )
-                assert stem(stem(tok.text)) == stem(tok.text)
-        config = PipelineConfig(tau=0.2, reference_year=2010)
-        indexed, board = run_pipeline(kb, docs, config)
+            for word in tokenize(kb, doc.text):
+                assert word and word == word.lower()
+                assert not word.endswith(".")
+                assert not (any(c.isalpha() for c in word) and any(c.isdigit() for c in word))
+                assert stem(stem(word)) == stem(word)
+        indexed, entries = run_pipeline(kb, docs, 0.2, 2010)
         for doc, result in zip(docs, indexed):
             assert all(s is not TermStatus.INITIAL for _, s in result.terms.values())
             if 2010 - doc.year > 5:
                 assert result.routing is Routing.DISCARD
-        assert len(board.entries) == sum(
+        assert len(entries) == sum(
             1 for r in indexed if r.routing is not Routing.DISCARD
         )
-        indexed2, board2 = run_pipeline(kb, docs, config)
+        indexed2, entries2 = run_pipeline(kb, docs, 0.2, 2010)
         a, b = tmp_path / "a.xml", tmp_path / "b.xml"
-        write_blackboard(board, a)
-        write_blackboard(board2, b)
+        write_blackboard(entries, a)
+        write_blackboard(entries2, b)
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 
 from semindex import agents
 from semindex.agents import (
-    Blackboard,
     BlackboardEntry,
-    Dispatch,
-    PipelineConfig,
     Routing,
     TermStatus,
-    Verdict,
+    process_document,
     proposition_agent,
     query_agent,
     reading_agent,
@@ -25,10 +22,10 @@ from semindex.agents import (
     standardizing_agent,
     write_blackboard,
 )
-from semindex.corpus import Document, Token, tokenize
-from semindex.kb import load_kb
+from semindex.corpus import Document, tokenize
+from semindex.kb import load_kb, quasi_synonyms
 
-from conftest import REPO, kb_file, make_doc, make_kb
+from conftest import REPO, kb_file, make_kb
 
 I = TermStatus.INITIAL
 T = TermStatus.ACCEPTED
@@ -54,64 +51,89 @@ def kb(tmp_path):
     )
 
 
-def toks(*words):
-    return [Token(w, i) for i, w in enumerate(words)]
+def merged(pairs) -> dict:
+    """The term map of (term, status) pairs: counts summed, first occurrence
+    first, Accepted winning when a term arrives with both statuses."""
+    term_map = {}
+    for term, status in pairs:
+        if term in term_map:
+            n, old = term_map[term]
+            term_map[term] = (n + 1, T if T in (old, status) else old)
+        else:
+            term_map[term] = (1, status)
+    return term_map
+
+
+def propose_per_token_then_merge(kb, pairs) -> dict:
+    """proposition on every (term, status) pair, then the merge: the order of
+    the chain before it built one term map per document."""
+    reachable = set()
+    for term, status in pairs:
+        if status is T and term in kb.canonical_classes:
+            reachable |= quasi_synonyms(kb, term)
+    return merged((t, T if s is J and t in reachable else s) for t, s in pairs)
 
 
 def test_query_agent():
-    assert query_agent({"port", "quay"}, {"port"}) is Dispatch.TO_READING
-    assert query_agent({"port"}, {"port", "quay"}) is Dispatch.TO_RELEVANCE
-    assert query_agent(set(), set()) is Dispatch.TO_RELEVANCE
+    assert query_agent({"port": (1, T), "quay": (1, J)}, {"port"}) is True
+    assert query_agent({"port": (2, T)}, {"port", "quay"}) is False
+    assert query_agent({}, set()) is False
 
 
 def test_reading_agent_excludes_stop_words(kb):
-    assert reading_agent(kb, toks("the", "port")) == [("port", I)]
+    assert reading_agent(kb, ["the", "port"]) == ["port"]
 
 
 def test_reading_agent_keeps_unknown_candidates(kb):
-    assert reading_agent(kb, toks("containerization")) == [("containerization", I)]
+    assert reading_agent(kb, ["containerization"]) == ["containerization"]
     assert reading_agent(kb, []) == []
 
 
 def test_standardizing_agent_stems_into_kb(kb):
-    assert standardizing_agent(kb, [("harbors", I)]) == [("port", T)]
+    assert standardizing_agent(kb, ["harbors"]) == [("port", T)]
 
 
 def test_standardizing_agent_morph_error_fallthrough(kb):
-    assert standardizing_agent(kb, [("containerization", I)]) == [("containerization", J)]
+    assert standardizing_agent(kb, ["containerization"]) == [("containerization", J)]
 
 
 def test_standardizing_agent_drops_stop_and_short(kb):
-    assert standardizing_agent(kb, [("the", I), ("x", I)]) == []
+    assert standardizing_agent(kb, ["the", "x"]) == []
 
 
 def test_proposition_agent_rescues_quasi_synonym(kb):
-    out = proposition_agent(kb, [("wharf", J), ("dock", T)])
-    assert out == [("wharf", T), ("dock", T)]
+    out = proposition_agent(kb, {"wharf": (1, J), "dock": (1, T)})
+    assert list(out.items()) == [("wharf", (1, T)), ("dock", (1, T))]
 
 
 def test_proposition_agent_no_links(kb):
-    assert proposition_agent(kb, [("xyz", J)]) == [("xyz", J)]
-    assert proposition_agent(kb, []) == []
+    assert proposition_agent(kb, {"xyz": (1, J)}) == {"xyz": (1, J)}
+    assert proposition_agent(kb, {}) == {}
 
 
-def test_relevance_agent_obsolete():
-    board = Blackboard()
-    doc = make_doc("d1", {"port": 1})
-    assert relevance_agent(board, doc, 2003, 2010, 0.2) is Verdict.OBSOLETE
+def test_term_map_merges_then_rescues(kb):
+    # the memo hands process_document each word's terms: "dock" arrives only
+    # as MorphError and is rescued through the accepted "wharf", which itself
+    # arrives as MorphError, then Accepted
+    words = {
+        "a": [("dock", J)],
+        "b": [("wharf", J), ("port", T)],
+        "c": [("wharf", T)],
+        "d": [("mystery", J)],
+    }
+    pairs = [pair for word in "a b c a d".split() for pair in words[word]]
+    term_map = process_document(kb, doc_from_text("d1", "a b c A d"), words)
+    expected = [("dock", (2, T)), ("wharf", (2, T)), ("port", (1, T)), ("mystery", (1, J))]
+    assert list(term_map.items()) == expected
+    assert list(propose_per_token_then_merge(kb, pairs).items()) == expected
 
 
 def test_relevance_agent_empty_board_relevant():
-    board = Blackboard()
-    doc = make_doc("d1", {"port": 1})
-    assert relevance_agent(board, doc, 2010, 2010, 0.2) is Verdict.RELEVANT
+    assert relevance_agent(None, {"port": 1}, 0.2) is True
 
 
 def test_relevance_agent_orthogonal_is_irrelevant():
-    board = Blackboard()
-    board.append(BlackboardEntry("prev", Routing.INDEX, 2010, {"ship": 3}))
-    doc = make_doc("d1", {"port": 2})
-    assert relevance_agent(board, doc, 2010, 2010, 0.2) is Verdict.IRRELEVANT
+    assert relevance_agent({"ship": 3}, {"port": 2}, 0.2) is False
 
 
 def doc_from_text(doc_id, text, year=2010):
@@ -119,34 +141,34 @@ def doc_from_text(doc_id, text, year=2010):
 
 
 def test_pipeline_first_document_indexed(kb):
-    config = PipelineConfig(tau=0.2, reference_year=2010)
-    docs, board = run_pipeline(kb, [doc_from_text("d1", "port saturation")], config)
+    docs, entries = run_pipeline(kb, [doc_from_text("d1", "port saturation")], 0.2, 2010)
     assert docs[0].routing is Routing.INDEX
-    assert len(board.entries) == 1
+    assert len(entries) == 1
 
 
 def test_pipeline_duplicate_stored_only(kb):
-    config = PipelineConfig(tau=0.2, reference_year=2010)
     corpus = [
         doc_from_text("d1", "port wharf saturation"),
         doc_from_text("d2", "port wharf saturation"),
     ]
-    docs, board = run_pipeline(kb, corpus, config)
+    docs, entries = run_pipeline(kb, corpus, 0.2, 2010)
     assert docs[0].routing is Routing.INDEX
     assert docs[1].routing is Routing.STORE_ONLY
-    assert [e.doc_id for e in board.entries] == ["d1", "d2"]
+    assert [e.doc_id for e in entries] == ["d1", "d2"]
 
 
 def test_pipeline_obsolete_discarded(kb):
-    config = PipelineConfig(tau=0.2, reference_year=2010)
-    docs, board = run_pipeline(kb, [doc_from_text("d1", "port dock", year=2004)], config)
+    docs, entries = run_pipeline(kb, [doc_from_text("d1", "port dock", year=2004)], 0.2, 2010)
     assert docs[0].routing is Routing.DISCARD
-    assert board.entries == []
+    assert entries == []
+    # five years old is not yet obsolete: the same document is relevant to the empty board
+    docs, entries = run_pipeline(kb, [doc_from_text("d1", "port dock", year=2005)], 0.2, 2010)
+    assert docs[0].routing is Routing.STORE_ONLY
+    assert [e.doc_id for e in entries] == ["d1"]
 
 
 def test_pipeline_never_leaves_initial_status(kb):
-    config = PipelineConfig(tau=0.2, reference_year=2010)
-    docs, _ = run_pipeline(kb, [doc_from_text("d1", "the port harbors unknownthing")], config)
+    docs, _ = run_pipeline(kb, [doc_from_text("d1", "the port harbors unknownthing")], 0.2, 2010)
     for doc in docs:
         assert all(s is not I for _, s in doc.terms.values())
 
@@ -156,18 +178,17 @@ def test_candidate_order_does_not_matter(kb):
     base = None
     for _ in range(5):
         random.shuffle(words)
-        out = proposition_agent(kb, standardizing_agent(kb, [(w, I) for w in words]))
-        counted = sorted((term, status.value) for term, status in out)
+        out = proposition_agent(kb, merged(standardizing_agent(kb, words)))
+        counted = sorted((term, n, status.value) for term, (n, status) in out.items())
         if base is None:
             base = counted
         assert counted == base
 
 
 def test_blackboard_xml_format(tmp_path):
-    board = Blackboard()
-    board.append(BlackboardEntry("d1", Routing.INDEX, 2009, {"port": 2, "cargo": 1}))
+    entries = [BlackboardEntry("d1", Routing.INDEX, 2009, {"port": 2, "cargo": 1})]
     path = tmp_path / "board.xml"
-    write_blackboard(board, path)
+    write_blackboard(entries, path)
     assert path.read_bytes() == (
         b'<?xml version="1.0" encoding="UTF-8"?>\n'
         b"<blackboard>\n"
@@ -183,8 +204,8 @@ def test_blackboard_write_is_deterministic(kb, tmp_path):
     corpus = [doc_from_text("d1", "port dock cargo mystery"), doc_from_text("d2", "harbor wharf")]
     outputs = []
     for name in ("a.xml", "b.xml"):
-        _, board = run_pipeline(kb, corpus, PipelineConfig(tau=0.2, reference_year=2010))
-        write_blackboard(board, tmp_path / name)
+        _, entries = run_pipeline(kb, corpus, 0.2, 2010)
+        write_blackboard(entries, tmp_path / name)
         outputs.append((tmp_path / name).read_bytes())
     assert outputs[0] == outputs[1]
 
@@ -257,18 +278,18 @@ corpora = st.lists(st.tuples(texts, st.integers(2002, 2010)), min_size=1, max_si
 )
 
 
-def per_token_chain(kb, doc, words=None):
-    """process_document as it was before the memo: every stage on every token."""
-    tokens = tokenize(kb, doc.text)
-    standardized = standardizing_agent(kb, reading_agent(kb, tokens))
-    return agents._aggregate(proposition_agent(kb, standardized))
+def per_token_chain(kb, doc, words):
+    """process_document as it was before the memo and the one-pass term map:
+    every stage on every token, proposition included, then the merge."""
+    standardized = standardizing_agent(kb, reading_agent(kb, tokenize(kb, doc.text)))
+    return propose_per_token_then_merge(kb, standardized)
 
 
 def _observable(result):
-    docs, board = result
+    docs, entries = result
     return (
         [(d.doc_id, list(d.terms.items()), d.routing) for d in docs],
-        [(e.doc_id, e.routing, e.year, list(e.terms.items())) for e in board.entries],
+        [(e.doc_id, e.routing, e.year, list(e.terms.items())) for e in entries],
     )
 
 
@@ -288,10 +309,9 @@ def _observable(result):
 )
 def test_memo_matches_per_token_chain(tmp_path_factory, data, corpus, tau):
     kb = load_kb(kb_file(tmp_path_factory.mktemp("kb"), data))
-    config = PipelineConfig(tau=tau, reference_year=2010)
-    memoized = run_pipeline(kb, corpus, config)
+    memoized = run_pipeline(kb, corpus, tau, 2010)
     with mock.patch.object(agents, "process_document", per_token_chain):
-        reference = run_pipeline(kb, corpus, config)
+        reference = run_pipeline(kb, corpus, tau, 2010)
     assert _observable(memoized) == _observable(reference)
 
 
@@ -303,11 +323,10 @@ def test_memo_is_scoped_to_one_run(tmp_path):
         classes = [{"id": "c", "canonical": canonical, "members": [canonical, "harbor"], "quasi": []}]
         kbs.append(make_kb(tmp_path / name, classes=classes, categories=categories))
     corpus = [doc_from_text("d1", "Harbor harbors HARBOR.")]
-    config = PipelineConfig(tau=0.2, reference_year=2010)
     for kb, canonical in zip(kbs + kbs, ["port", "haven"] * 2):
-        docs, board = run_pipeline(kb, corpus, config)
+        docs, entries = run_pipeline(kb, corpus, 0.2, 2010)
         assert docs[0].terms == {canonical: (3, T)}
-        assert board.entries[0].terms == {canonical: 3}
+        assert entries[0].terms == {canonical: 3}
 
 
 @st.composite
@@ -338,7 +357,7 @@ def kbs_and_candidates(draw):
     stems = st.sampled_from(surfaces) | st.text(letters, max_size=6)
     suffixes = st.sampled_from(["", "s", "es", "ed", "ing", "ies", "sses", "ations"])
     candidates = draw(st.lists(st.builds(str.__add__, stems, suffixes), max_size=20))
-    return data, [(c, I) for c in candidates]
+    return data, candidates
 
 
 @settings(max_examples=200, deadline=None)
@@ -346,5 +365,5 @@ def kbs_and_candidates(draw):
 def test_proposition_agent_never_rescues_standardized_terms(tmp_path_factory, case):
     data, candidates = case
     kb = load_kb(kb_file(tmp_path_factory.mktemp("kb"), data))
-    standardized = standardizing_agent(kb, candidates)
-    assert proposition_agent(kb, standardized) == standardized
+    term_map = merged(standardizing_agent(kb, candidates))
+    assert proposition_agent(kb, term_map) == term_map

@@ -31,7 +31,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
 
 def test_bad_tau_rejected(tmp_path):
     path = tmp_path / "c.ini"
-    for text in ("tau = 2.0\n", "seed = -1\n"):
+    for text in ("tau = 2.0\n", "seed = -1\n", "refine_passes = 0\n", "refine_passes = -3\n"):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(SemindexError):
             load_config(path)
@@ -225,6 +225,31 @@ def test_unreadable_input_is_domain_error(tmp_path, capsys, case):
     assert len(err) == 1
     assert err[0].startswith("error: errors.")
     assert str(path) in err[0]
+
+
+# output file -> the command line that writes it
+UNWRITABLE = {
+    "blackboard.xml": ["pipeline"],
+    "index_store.json": ["pipeline"],
+    "vocabulary.tsv": ["pipeline"],
+    "clusters.json": ["pipeline"],
+    "clusters.net": ["pipeline"],
+    "ego_america.net": ["export", "--term", "america"],
+}
+
+
+@pytest.mark.parametrize("name", list(UNWRITABLE))
+def test_unwritable_output_is_domain_error(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    argv = UNWRITABLE[name]
+    if argv[0] == "export":
+        assert run_cli("index", "--config", CONFIG, "--out_dir", str(out)) == 0
+    (out / name).mkdir(parents=True)
+    capsys.readouterr()
+    assert run_cli(*argv, "--config", CONFIG, "--out_dir", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: errors.UnwritableFile: cannot write {out / name}: ")
 
 
 def _count_calls(monkeypatch, module, name):

@@ -112,7 +112,7 @@ def old_build_vocabulary(indexed_docs, threshold_mode) -> Vocabulary:
 
 
 def old_build_matrix(vocab, indexed_docs):
-    """build_matrix as it was: (dense A, terms, docs, pruned terms, pruned docs)."""
+    """build_matrix as it was: (dense A, terms, docs)."""
     index_docs = [d for d in indexed_docs if d.routing is Routing.INDEX]
     A = np.zeros((len(vocab.terms), len(index_docs)))
     for j, doc in enumerate(index_docs):
@@ -126,8 +126,6 @@ def old_build_matrix(vocab, indexed_docs):
         A[rows][:, cols],
         tuple(t for t, r in zip(vocab.terms, rows) if r),
         tuple(d.doc_id for d, c in zip(index_docs, cols) if c),
-        tuple(t for t, r in zip(vocab.terms, rows) if not r),
-        tuple(d.doc_id for d, c in zip(index_docs, cols) if not c),
     )
 
 
@@ -163,7 +161,7 @@ def test_vocabulary_and_matrix_match_old_formulas(docs, other, threshold):
             continue
         A, *labels = old
         assert np.array_equal(dense(m), A)
-        assert [m.terms, m.docs, m.pruned_terms, m.pruned_docs] == labels
+        assert [m.terms, m.docs] == labels
         assert m.row_degrees.tolist() == A.sum(axis=1).tolist()
         assert m.col_degrees.tolist() == A.sum(axis=0).tolist()
 

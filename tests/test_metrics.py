@@ -51,11 +51,6 @@ def test_bounds():
     assert 0.0 <= p <= 1.0 and 0.0 <= r <= 1.0
 
 
-def test_macro_flag():
-    p, r = precision_recall({"d1": {"a"}, "d2": {"b"}}, {"d1": {"a"}, "d2": {"c"}}, macro=True)
-    assert (p, r) == (0.5, 0.5)
-
-
 def test_load_gold(tmp_path):
     path = tmp_path / "gold.tsv"
     path.write_text("d1\tport\nd1\tcargo\nd2\tsea\n", encoding="utf-8")
