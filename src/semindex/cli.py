@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from . import agents, kb as kbmod, lexicon, metrics
@@ -120,11 +123,39 @@ def write_index_store(indexed_docs, years: dict, path) -> None:
     write_text(path, f'{{\n  "documents": {documents}\n}}\n')
 
 
-def _index_entries(documents):
-    """(doc_id, terms, counts, status codes) of each Index document.
+_N, _STATUS = itemgetter("n"), itemgetter("status")
 
-    Every stored document is checked, whatever its routing.
+
+def _index_columns(documents):
+    """(doc ids, lengths, terms, counts, status codes) of the Index documents,
+    in doc_id order; the last three run over all their postings.
+
+    Every stored document is checked, whatever its routing, over the whole
+    store at once; a failed check raises without naming the document.
     """
+    routings, docs, lengths, terms, values, other = [], [], [], [], [], []
+    for doc_id, entry in sorted(documents.items()):
+        routing, doc_terms = entry["routing"], entry["terms"]
+        routings.append(routing)
+        if routing == agents.Routing.INDEX.value:
+            docs.append(doc_id)
+            lengths.append(len(doc_terms))
+            terms += doc_terms
+            values += doc_terms.values()
+        else:
+            other += doc_terms.values()
+    counts, statuses = list(map(_N, values)), list(map(_STATUS, values))
+    if not (
+        set(map(type, chain(counts, map(_N, other)))) <= {int}
+        and STATUS_CODES.issuperset(chain(statuses, map(_STATUS, other)))
+        and ROUTING_CODES.issuperset(routings)
+    ):
+        raise ValueError("malformed index store")
+    return docs, lengths, terms, counts, statuses
+
+
+def _first_fault(documents) -> None:
+    """Raise the fault of the first malformed document in store order."""
     for doc_id, entry in documents.items():
         routing, terms = entry["routing"], entry["terms"]
         counts = [value["n"] for value in terms.values()]
@@ -135,9 +166,7 @@ def _index_entries(documents):
         if not STATUS_CODES.issuperset(statuses):
             bad = next(s for s in statuses if s not in STATUS_CODES)
             raise ValueError(f"document {doc_id!r}: unknown term status {bad!r}")
-        if routing == agents.Routing.INDEX.value:
-            yield doc_id, terms.keys(), counts, statuses
-        elif routing not in ROUTING_CODES:
+        if routing not in ROUTING_CODES:
             raise ValueError(f"document {doc_id!r}: unknown routing {routing!r}")
 
 
@@ -146,33 +175,39 @@ def read_index_store(path) -> lexicon.Postings:
     if not Path(path).exists():
         raise MissingIndexStore(f"{path} not found; run `semindex index` first")
     try:
-        entries = list(_index_entries(json.loads(read_text(path))["documents"]))
+        documents = json.loads(read_text(path))["documents"]
+        try:
+            columns = _index_columns(documents)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            _first_fault(documents)
+            raise
     except KeyError as exc:
         raise MalformedIndexStore(f"{path}: missing key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise MalformedIndexStore(f"{path}: {exc}") from None
     try:
-        return lexicon.Postings.build(entries)
+        return lexicon.Postings.build(*columns)
     except OverflowError:
         raise MalformedIndexStore(f"{path}: a term count is too large for a float") from None
 
 
 def index_postings(indexed_docs) -> lexicon.Postings:
     """The postings of the Index documents among `indexed_docs`."""
+    docs = sorted(
+        (doc for doc in indexed_docs if doc.routing is agents.Routing.INDEX),
+        key=attrgetter("doc_id"),
+    )
     return lexicon.Postings.build(
-        (
-            doc.doc_id,
-            doc.terms.keys(),
-            [n for n, _ in doc.terms.values()],
-            [s.value for _, s in doc.terms.values()],
-        )
-        for doc in indexed_docs
-        if doc.routing is agents.Routing.INDEX
+        [doc.doc_id for doc in docs],
+        [len(doc.terms) for doc in docs],
+        [t for doc in docs for t in doc.terms],
+        [n for doc in docs for n, _ in doc.terms.values()],
+        [s.value for doc in docs for _, s in doc.terms.values()],
     )
 
 
 def _load_corpus(config: Config):
-    paths = sorted(Path(config.corpus_dir).glob("*.txt"))
+    paths = sorted(Path(config.corpus_dir).glob("*.txt"), key=str)
     if not paths:
         raise SemindexError(f"no .txt documents under {config.corpus_dir!r}")
     return ingest(paths)
@@ -277,6 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Before numpy and scipy load: each starts an OpenBLAS pool whose idle
+    # workers spin after every call, and these matrices are too small to
+    # gain from it.  A value the user set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else Config()

@@ -23,6 +23,7 @@ from .errors import (
     EmptyMatrix,
     EmptySide,
     NoConvergence,
+    SemindexError,
     TooLarge,
     ZeroDegree,
     write_text,
@@ -335,6 +336,8 @@ def brute_force_min_ratio_cut(g: BipartiteGraph):
 
 def cocluster(m: TermDocMatrix, k: int, seed: int, refine_passes: int = 1) -> CoClustering:
     """Full co-clustering: normalize, embed, k-means, duality refinement."""
+    if refine_passes < 1:
+        raise SemindexError(f"refine_passes must be >= 1, got {refine_passes}")
     w, d = m.shape
     if k == 1:
         zeros = np.zeros(w + d, int)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
 
 from .errors import EmptyVocabulary, write_text
 
@@ -77,22 +76,16 @@ class Postings:
     accepted: np.ndarray  # bool
 
     @classmethod
-    def build(cls, entries) -> "Postings":
-        """From `(doc_id, terms, counts, status codes)` entries in any order;
-        the last three are parallel sequences over one document's postings."""
+    def build(cls, docs, lengths, terms, counts, statuses) -> "Postings":
+        """From the doc ids in doc_id order and each one's number of postings;
+        `terms`, `counts` and status codes are parallel lists over the
+        postings of all documents, in that order."""
         from .agents import TermStatus  # agents imports this module
         # deferred: numpy costs about 0.15 s a process, and index never builds postings
         import numpy as np
 
         rejected, accepted = TermStatus.REJECTED.value, TermStatus.ACCEPTED.value
-        docs, lengths, terms, counts, statuses = [], [], [], [], []
-        for doc_id, doc_terms, doc_counts, doc_statuses in sorted(entries, key=itemgetter(0)):
-            docs.append(doc_id)
-            lengths.append(len(doc_terms))
-            terms += doc_terms
-            counts += doc_counts
-            statuses += doc_statuses
-        keep = np.array([s != rejected for s in statuses], dtype=bool)
+        keep = np.fromiter(map(rejected.__ne__, statuses), bool, len(statuses))
         kept = list(compress(terms, keep.tolist()))
         position = {t: i for i, t in enumerate(dict.fromkeys(kept))}
         return cls(
@@ -101,7 +94,7 @@ class Postings:
             np.fromiter(map(position.__getitem__, kept), np.intp, len(kept)),
             np.repeat(np.arange(len(docs), dtype=np.intp), lengths)[keep],
             np.array(counts, dtype=float)[keep],
-            np.array([s == accepted for s in statuses], dtype=bool)[keep],
+            np.fromiter(map(accepted.__eq__, statuses), bool, len(statuses))[keep],
         )
 
     def accepted_sets(self) -> dict:

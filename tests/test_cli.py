@@ -90,6 +90,19 @@ def test_index_writes_blackboard_and_store(tmp_path):
     assert store["documents"]["d12"]["routing"] == "StoreOnly"
 
 
+def test_corpus_files_are_read_in_name_order(tmp_path):
+    names = ["b.txt", "a9.txt", "a.1.txt", "B.txt", "a10.txt", "_x.txt", "a-1.txt", "0.txt",
+             "a1.txt", "A-b.txt"]
+    for name in names:
+        (tmp_path / name).write_text(f"id: {name}\ntitle: t\nyear: 2009\n\nport\n",
+                                     encoding="utf-8")
+    corpus = cli._load_corpus(Config(corpus_dir=str(tmp_path)))
+    assert [doc.id for doc in corpus] == [
+        "0.txt", "A-b.txt", "B.txt", "_x.txt", "a-1.txt", "a.1.txt", "a1.txt", "a10.txt",
+        "a9.txt", "b.txt",
+    ]
+
+
 def test_cluster_deterministic(tmp_path):
     reports = []
     for name in ("a", "b"):
@@ -321,6 +334,47 @@ def _libraries_after(*argv):
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1]
+
+
+_THREADS = """\
+import os, sys
+from semindex import cli
+status = cli.main(sys.argv[1:])
+print(status, sorted({"numpy", "scipy"} & set(sys.modules)), len(os.listdir("/proc/self/task")),
+      os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts the threads in /proc/self/task")
+def test_cluster_above_dense_cutoff_runs_one_thread(tmp_path):
+    terms, docs = 1025, 1030  # every term in three documents; the matrix is terms x docs
+    assert terms * docs > cocluster._DENSE_ENTRIES
+    indexed = [
+        agents.IndexedDocument(
+            f"d{j}",
+            {f"t{(a * j + b) % terms}": (1, agents.TermStatus.ACCEPTED)
+             for a, b in ((1, 0), (7, 3), (13, 5))},
+            agents.Routing.INDEX,
+        )
+        for j in range(docs)
+    ]
+    out = tmp_path / "out"
+    out.mkdir()
+    cli.write_index_store(indexed, dict.fromkeys((d.doc_id for d in indexed), 2009),
+                          out / "index_store.json")
+    argv = [sys.executable, "-c", _THREADS, "cluster", "--out_dir", str(out),
+            "--threshold_mode", "min_count:1"]
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    result = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    # exit status, libraries loaded, threads, OPENBLAS_NUM_THREADS
+    assert result.stdout.strip() == "0 ['numpy', 'scipy'] 1 1"
+    # a value the user set is left alone
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    result = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-1] == "2"
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():

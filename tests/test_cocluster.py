@@ -18,7 +18,7 @@ from semindex.cocluster import (
     ratio_cut,
     spectral_embed,
 )
-from semindex.errors import BadClusterCount, EmptyMatrix, EmptySide, TooLarge
+from semindex.errors import BadClusterCount, EmptyMatrix, EmptySide, SemindexError, TooLarge
 from semindex.lexicon import MinCount, build_vocabulary
 
 from conftest import assign_docs, assign_words, dense, make_doc, mstar
@@ -351,6 +351,12 @@ def test_cocluster_k1_degenerate():
     assert clus.word_clusters == (frozenset({"w1", "w2"}),)
     assert clus.doc_clusters == (frozenset({"d1"}),)
     assert clus.embedding.shape == (3, 1)
+
+
+@pytest.mark.parametrize("k, passes", [(2, 0), (2, -3), (1, 0)])
+def test_cocluster_rejects_refine_passes_below_one(k, passes):
+    with pytest.raises(SemindexError, match=f"refine_passes must be >= 1, got {passes}"):
+        cocluster(mstar(), k, 0, refine_passes=passes)
 
 
 def test_cocluster_deterministic():

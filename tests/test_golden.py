@@ -5,7 +5,9 @@ and digests every file they write there, plus what they print.  The inputs
 are the mini corpus and small seeded inputs from the benchmark's generator
 (`bench/generate.py`, imported from its directory).  The recluster store of
 800 documents and 1500 terms lies above the dense-SVD cutoff, the balanced
-store below it.
+store below it.  Those two stores are also run as `python -m semindex`
+children with `OPENBLAS_NUM_THREADS` unset, so the thread count the CLI
+sets for OpenBLAS is pinned too.
 
 A change that means to alter an output regenerates the manifest with
 `PYTHONPATH=src python tests/test_golden.py` and says so.
@@ -15,6 +17,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -50,8 +54,28 @@ def _files(out: Path) -> dict:
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
-def run_case(case: str, work: Path) -> dict:
-    """file name -> SHA-256 of each file the case's commands wrote, and of stdout."""
+def in_process(argv, cwd) -> str:
+    """The standard output of `cli.main(argv)` run in `cwd`."""
+    stdout = io.StringIO()
+    with contextlib.chdir(cwd), contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0, argv
+    return stdout.getvalue()
+
+
+def in_child(argv, cwd) -> str:
+    """The standard output of a `python -m semindex` child, whose OpenBLAS
+    thread count is the one the CLI sets."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    result = subprocess.run([sys.executable, "-m", "semindex", *argv], cwd=cwd, env=env,
+                            capture_output=True)
+    assert result.returncode == 0, (argv, result.stderr)
+    return result.stdout.decode("utf-8")
+
+
+def run_case(case: str, work: Path, run=in_process) -> dict:
+    """file name -> SHA-256 of each file the case's commands wrote, and of stdout,
+    with each command run by `run(argv, cwd)`."""
     workload, store, commands = CASES[case]
     ego = ""
     if workload is None:
@@ -63,22 +87,30 @@ def run_case(case: str, work: Path) -> dict:
         common = ["--config", "config.ini"]
         ego = json.loads((work / "expected.json").read_text()).get("ego_terms", [""])[0]
     inputs = _files(out) if out.exists() else {}
-    stdout = io.StringIO()
-    with contextlib.chdir(cwd), contextlib.redirect_stdout(stdout):
-        for command in commands:
-            argv = [ego if arg == EGO else arg for arg in command]
-            assert cli.main([*argv, *common]) == 0, (case, argv)
+    stdout = "".join(
+        run([*(ego if arg == EGO else arg for arg in command), *common], cwd)
+        for command in commands
+    )
     written = {name: data for name, data in _files(out).items() if inputs.get(name) != data}
-    written["<stdout>"] = stdout.getvalue().encode("utf-8")
+    written["<stdout>"] = stdout.encode("utf-8")
     return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(written.items())}
+
+
+def assert_golden(case: str, got: dict) -> None:
+    want = json.loads(MANIFEST.read_text(encoding="utf-8"))[case]
+    differ = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    assert not differ, f"{case}: {differ} differ from {MANIFEST.name}"
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_outputs_match_golden_digests(case, tmp_path):
-    want = json.loads(MANIFEST.read_text(encoding="utf-8"))[case]
-    got = run_case(case, tmp_path)
-    differ = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
-    assert not differ, f"{case}: {differ} differ from {MANIFEST.name}"
+    assert_golden(case, run_case(case, tmp_path))
+
+
+# the ARPACK and the dense SVD path, each in a process whose BLAS the CLI set up
+@pytest.mark.parametrize("case", ["recluster/k2", "recluster/balanced"])
+def test_cli_children_match_golden_digests(case, tmp_path):
+    assert_golden(case, run_case(case, tmp_path, in_child))
 
 
 if __name__ == "__main__":
