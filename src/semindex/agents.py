@@ -85,22 +85,21 @@ def standardizing_agent(kb: KnowledgeBase, words) -> list:
 
 
 def proposition_agent(kb: KnowledgeBase, term_map: dict) -> dict:
-    """Accept the MorphError terms that an accepted term's quasi-synonyms reach; returns a new map.
+    """Accept the MorphError terms one quasi-synonym link from an accepted term; returns a new map.
 
-    On standardizing's output the rescue never fires: only canonicals are
-    reachable, every canonical is a member of its own class and so
-    normalizes to itself, and a MorphError term is one whose surface and
-    stem both failed that lookup, so it is never a canonical.  The stage is
-    kept as the fifth of the paper's agents.
+    The links are symmetric, so only the MorphError terms' own links are
+    looked up.  On standardizing's output the rescue never fires: only
+    canonicals are linked, every canonical normalizes to itself, and a
+    MorphError term is one whose surface and stem both failed that lookup,
+    so it is never a canonical.  The stage is kept as the fifth of the paper's agents.
     """
-    reachable = set()
-    for term, (_, status) in term_map.items():
-        if status is TermStatus.ACCEPTED and term in kb.canonical_classes:
-            reachable |= quasi_synonyms(kb, term)
+    accepted = {term for term, (_, status) in term_map.items() if status is TermStatus.ACCEPTED}
     return term_map | {
         term: (n, TermStatus.ACCEPTED)
         for term, (n, status) in term_map.items()
-        if status is TermStatus.MORPH_ERROR and term in reachable
+        if status is TermStatus.MORPH_ERROR
+        and term in kb.quasi_links
+        and not accepted.isdisjoint(quasi_synonyms(kb, term))
     }
 
 

@@ -156,8 +156,17 @@ def _index_columns(documents):
 
 def _first_fault(documents) -> None:
     """Raise the fault of the first malformed document in store order."""
+    if not isinstance(documents, dict):
+        raise ValueError("documents is not an object")
     for doc_id, entry in documents.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"document {doc_id!r} is not an object")
         routing, terms = entry["routing"], entry["terms"]
+        if not isinstance(terms, dict):
+            raise ValueError(f"document {doc_id!r}: terms is not an object")
+        for term, value in terms.items():
+            if not isinstance(value, dict):
+                raise ValueError(f"document {doc_id!r}: term {term!r} is not an object")
         counts = [value["n"] for value in terms.values()]
         statuses = [value["status"] for value in terms.values()]
         if not set(map(type, counts)) <= {int}:
@@ -175,7 +184,10 @@ def read_index_store(path) -> lexicon.Postings:
     if not Path(path).exists():
         raise MissingIndexStore(f"{path} not found; run `semindex index` first")
     try:
-        documents = json.loads(read_text(path))["documents"]
+        store = json.loads(read_text(path))
+        if not isinstance(store, dict):
+            raise ValueError("the top level is not an object")
+        documents = store["documents"]
         try:
             columns = _index_columns(documents)
         except (AttributeError, KeyError, TypeError, ValueError):

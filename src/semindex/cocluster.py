@@ -5,8 +5,8 @@ numpy arrays of row, column and count, sorted by (row, column).  It is
 degree-normalized, embedded through the leading non-trivial singular pairs
 (dense LAPACK for matrices of up to 2^20 entries, ARPACK beyond; scipy is
 loaded only then), and partitioned jointly with k-means.  Word and document
-cluster labels are then refined with the dual max-mass formulas, and
-partitions can be scored with the ratio-cut objective.
+cluster labels are then refined with the dual max-mass formulas; the
+cluster report gives the ratio cut of a 2-way partition.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ import numpy as np
 from .errors import (
     BadClusterCount,
     EmptyMatrix,
-    EmptySide,
     NoConvergence,
     SemindexError,
-    TooLarge,
     ZeroDegree,
     write_text,
 )
@@ -63,34 +61,22 @@ class TermDocMatrix:
 
 
 @dataclass(frozen=True)
-class BipartiteGraph:
-    term_vertices: tuple
-    doc_vertices: tuple
-    edges: tuple  # (term label, doc label, weight)
-
-    @property
-    def vertices(self) -> tuple:
-        return self.term_vertices + self.doc_vertices
-
-
-@dataclass(frozen=True)
 class CoClustering:
     k: int
     word_clusters: tuple  # tuple of frozensets over term labels
     doc_clusters: tuple
-    embedding: np.ndarray  # (terms + docs) x l, term rows first
     word_labels: np.ndarray  # cluster of each matrix row
     doc_labels: np.ndarray  # cluster of each matrix column
     dropped_groups: tuple = ()
 
     @classmethod
-    def from_labels(cls, m: TermDocMatrix, k: int, word_labels, doc_labels, embedding,
+    def from_labels(cls, m: TermDocMatrix, k: int, word_labels, doc_labels,
                     dropped_groups=()) -> CoClustering:
         """The clustering with these labels in 0..k-1; builds its frozensets."""
         def members(labels, names):
             return tuple(frozenset(compress(names, (labels == g).tolist())) for g in range(k))
 
-        return cls(k, members(word_labels, m.terms), members(doc_labels, m.docs), embedding,
+        return cls(k, members(word_labels, m.terms), members(doc_labels, m.docs),
                    word_labels, doc_labels, tuple(dropped_groups))
 
 
@@ -120,21 +106,6 @@ def build_matrix(vocab: Vocabulary, postings: Postings) -> TermDocMatrix:
         row_degrees=row_deg[keep_rows],
         col_degrees=col_deg[keep_cols],
     )
-
-
-def matrix_from_counts(counts: dict, terms, docs) -> TermDocMatrix:
-    """Convenience builder from {(term, doc): count}; labels give the order."""
-    terms = tuple(terms)
-    docs = tuple(docs)
-    ti = {t: i for i, t in enumerate(terms)}
-    dj = {d: j for j, d in enumerate(docs)}
-    cells = np.array([(ti[t], dj[d], c) for (t, d), c in counts.items() if c], float).reshape(-1, 3)
-    A = _counts(cells[:, 0].astype(np.intp), cells[:, 1].astype(np.intp), cells[:, 2], len(docs))
-    row_deg = np.bincount(A.row, A.count, len(terms))
-    col_deg = np.bincount(A.col, A.count, len(docs))
-    if (row_deg == 0).any() or (col_deg == 0).any():
-        raise EmptyMatrix("zero row or column in explicit count matrix")
-    return TermDocMatrix(A, terms, docs, row_deg, col_deg)
 
 
 def normalize_matrix(m: TermDocMatrix):
@@ -288,60 +259,13 @@ def assign_doc_clusters(m: TermDocMatrix, word_labels, k: int) -> np.ndarray:
     return np.argmax(label_mass(m, word_labels, np.arange(d), (k, d)), axis=0)
 
 
-def graph_from_matrix(m: TermDocMatrix) -> BipartiteGraph:
-    A = m.A
-    edges = tuple(
-        (m.terms[i], m.docs[j], w)
-        for i, j, w in zip(A.row.tolist(), A.col.tolist(), A.count.tolist())
-    )
-    return BipartiteGraph(tuple(m.terms), tuple(m.docs), edges)
-
-
-def ratio_cut(g: BipartiteGraph, v1, v2) -> float:
-    """cut(V1,V2)/|V1| + cut(V1,V2)/|V2| for a bipartition of the vertices."""
-    v1, v2 = set(v1), set(v2)
-    if not v1 or not v2:
-        raise EmptySide("both sides of the partition must be nonempty")
-    all_vertices = set(g.vertices)
-    if v1 | v2 != all_vertices or v1 & v2:
-        raise EmptySide("V1 and V2 must partition the vertex set")
-    cut = sum(w for a, b, w in g.edges if (a in v1) != (b in v1))
-    return cut / len(v1) + cut / len(v2)
-
-
-def brute_force_min_ratio_cut(g: BipartiteGraph):
-    """Exhaustive minimum ratio-cut bipartition; oracle for small graphs."""
-    vertices = list(g.vertices)
-    n = len(vertices)
-    if n > 20:
-        raise TooLarge(f"{n} vertices exceeds the brute-force limit of 20")
-    if n < 2:
-        raise EmptySide("need at least two vertices to bipartition")
-    best = None
-    for mask in range(0, 1 << (n - 1)):
-        side = {vertices[i] for i in range(n) if mask & (1 << i)} | {vertices[n - 1]}
-        other = set(vertices) - side
-        if not other:
-            continue
-        cut = sum(w for a, b, w in g.edges if (a in side) != (b in side))
-        value = cut / len(side) + cut / len(other)
-        a, b = sorted(side), sorted(other)
-        v1 = a if a < b else b
-        key = (value, v1)
-        if best is None or key < best:
-            best = key
-    value, v1 = best
-    return set(v1), value
-
-
 def cocluster(m: TermDocMatrix, k: int, seed: int, refine_passes: int = 1) -> CoClustering:
     """Full co-clustering: normalize, embed, k-means, duality refinement."""
     if refine_passes < 1:
         raise SemindexError(f"refine_passes must be >= 1, got {refine_passes}")
     w, d = m.shape
     if k == 1:
-        zeros = np.zeros(w + d, int)
-        return CoClustering.from_labels(m, 1, zeros[:w], zeros[w:], np.zeros((w + d, 1)))
+        return CoClustering.from_labels(m, 1, np.zeros(w, int), np.zeros(d, int))
     An = normalize_matrix(m)
     Z = spectral_embed(An, m.row_degrees, m.col_degrees, k)
     # k-means document groups left empty are dropped; the rest keep their order
@@ -350,7 +274,7 @@ def cocluster(m: TermDocMatrix, k: int, seed: int, refine_passes: int = 1) -> Co
         word_labels = assign_word_clusters(m, doc_labels, len(groups))
         doc_labels = assign_doc_clusters(m, word_labels, len(groups))
     dropped = np.setdiff1d(np.arange(k), groups).tolist()
-    return CoClustering.from_labels(m, len(groups), word_labels, doc_labels, Z, dropped)
+    return CoClustering.from_labels(m, len(groups), word_labels, doc_labels, dropped)
 
 
 def write_cluster_report(cc: CoClustering, m: TermDocMatrix, path) -> None:

@@ -79,14 +79,6 @@ class BadClusterCount(SemindexError):
     pass
 
 
-class EmptySide(SemindexError):
-    pass
-
-
-class TooLarge(SemindexError):
-    pass
-
-
 # graphs
 class UnknownNode(SemindexError):
     pass

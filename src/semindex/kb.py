@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from .errors import InconsistentKb, MalformedKb, UnknownTerm, read_text
@@ -32,7 +31,7 @@ CATEGORIES = frozenset(
     }
 )
 
-_TOP_LEVEL_KEYS = frozenset({"classes", "categories", "stop_words", "abbreviations"})
+_TOP_LEVEL_TYPES = {"classes": list, "categories": list, "stop_words": list, "abbreviations": dict}
 
 
 @dataclass(frozen=True)
@@ -80,16 +79,20 @@ def load_kb(path) -> KnowledgeBase:
         raise MalformedKb(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedKb(f"{path}: top level must be an object")
-    unknown = set(data) - _TOP_LEVEL_KEYS
+    unknown = set(data) - set(_TOP_LEVEL_TYPES)
     if unknown:
         raise MalformedKb(f"{path}: unknown top-level keys {sorted(unknown)}")
+    for key, value in data.items():
+        if not isinstance(value, _TOP_LEVEL_TYPES[key]):
+            kind = "an object" if _TOP_LEVEL_TYPES[key] is dict else "a list"
+            raise MalformedKb(f"{path}: {key} must be {kind}")
 
     categories = {}
     for entry in data.get("categories", []):
         if not isinstance(entry, dict) or set(entry) != {"surface", "category"}:
             raise MalformedKb(f"bad categories entry {entry!r}")
         surface = _check_word(entry["surface"], "surface")
-        if entry["category"] not in CATEGORIES:
+        if not isinstance(entry["category"], str) or entry["category"] not in CATEGORIES:
             raise MalformedKb(f"unknown category {entry['category']!r} for {surface!r}")
         if surface in categories:
             raise InconsistentKb(f"duplicate category record for {surface!r}")
@@ -173,28 +176,6 @@ def load_kb(path) -> KnowledgeBase:
         abbreviations[key.lower()] = value.lower()
 
     return KnowledgeBase(records, classes, stop_words, abbreviations, canonical_classes, quasi_links)
-
-
-def save_kb(kb: KnowledgeBase, path) -> None:
-    """Write a KB back out in canonical key order; load_kb(save_kb(x)) == x."""
-    data = {
-        "classes": [
-            {
-                "id": cls.class_id,
-                "canonical": cls.canonical,
-                "members": sorted(cls.members),
-                "quasi": sorted(cls.quasi_synonym_of),
-            }
-            for cls in sorted(kb.classes.values(), key=lambda c: c.class_id)
-        ],
-        "categories": [
-            {"surface": rec.surface, "category": rec.category}
-            for rec in sorted(kb.records.values(), key=lambda r: r.surface)
-        ],
-        "stop_words": sorted(kb.stop_words),
-        "abbreviations": {k: kb.abbreviations[k] for k in sorted(kb.abbreviations)},
-    }
-    Path(path).write_text(json.dumps(data, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 def normalize_term(kb: KnowledgeBase, surface: str) -> Optional[str]:

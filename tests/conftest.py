@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from semindex.agents import IndexedDocument, Routing, TermStatus
-from semindex.cocluster import assign_doc_clusters, assign_word_clusters, matrix_from_counts
+from semindex.cocluster import assign_doc_clusters, assign_word_clusters
 from semindex.kb import load_kb
+
+from oracles import matrix_from_counts
 
 REPO = Path(__file__).resolve().parent.parent
 MINI = REPO / "data" / "mini_corpus"

@@ -1,0 +1,102 @@
+"""Test-only code: the brute-force ratio-cut oracle, a matrix builder by label and a KB writer."""
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from semindex.cocluster import TermDocMatrix, _counts
+from semindex.errors import EmptyMatrix
+
+
+@dataclass(frozen=True)
+class BipartiteGraph:
+    term_vertices: tuple
+    doc_vertices: tuple
+    edges: tuple  # (term label, doc label, weight)
+
+    @property
+    def vertices(self) -> tuple:
+        return self.term_vertices + self.doc_vertices
+
+
+def matrix_from_counts(counts: dict, terms, docs) -> TermDocMatrix:
+    """The matrix of {(term, doc): count}; the labels give the order."""
+    terms = tuple(terms)
+    docs = tuple(docs)
+    ti = {t: i for i, t in enumerate(terms)}
+    dj = {d: j for j, d in enumerate(docs)}
+    cells = np.array([(ti[t], dj[d], c) for (t, d), c in counts.items() if c], float).reshape(-1, 3)
+    A = _counts(cells[:, 0].astype(np.intp), cells[:, 1].astype(np.intp), cells[:, 2], len(docs))
+    row_deg = np.bincount(A.row, A.count, len(terms))
+    col_deg = np.bincount(A.col, A.count, len(docs))
+    if (row_deg == 0).any() or (col_deg == 0).any():
+        raise EmptyMatrix("zero row or column in explicit count matrix")
+    return TermDocMatrix(A, terms, docs, row_deg, col_deg)
+
+
+def graph_from_matrix(m: TermDocMatrix) -> BipartiteGraph:
+    A = m.A
+    edges = tuple(
+        (m.terms[i], m.docs[j], w)
+        for i, j, w in zip(A.row.tolist(), A.col.tolist(), A.count.tolist())
+    )
+    return BipartiteGraph(tuple(m.terms), tuple(m.docs), edges)
+
+
+def ratio_cut(g: BipartiteGraph, v1, v2) -> float:
+    """cut(V1,V2)/|V1| + cut(V1,V2)/|V2| for a bipartition of the vertices."""
+    v1, v2 = set(v1), set(v2)
+    if not v1 or not v2:
+        raise ValueError("both sides of the partition must be nonempty")
+    if v1 | v2 != set(g.vertices) or v1 & v2:
+        raise ValueError("V1 and V2 must partition the vertex set")
+    cut = sum(w for a, b, w in g.edges if (a in v1) != (b in v1))
+    return cut / len(v1) + cut / len(v2)
+
+
+def brute_force_min_ratio_cut(g: BipartiteGraph):
+    """Exhaustive minimum ratio-cut bipartition; oracle for graphs of 2 to 20 vertices."""
+    vertices = list(g.vertices)
+    n = len(vertices)
+    if n > 20:
+        raise ValueError(f"{n} vertices exceeds the brute-force limit of 20")
+    if n < 2:
+        raise ValueError("need at least two vertices to bipartition")
+    best = None
+    for mask in range(0, 1 << (n - 1)):
+        side = {vertices[i] for i in range(n) if mask & (1 << i)} | {vertices[n - 1]}
+        other = set(vertices) - side
+        if not other:
+            continue
+        cut = sum(w for a, b, w in g.edges if (a in side) != (b in side))
+        value = cut / len(side) + cut / len(other)
+        a, b = sorted(side), sorted(other)
+        key = (value, min(a, b))
+        if best is None or key < best:
+            best = key
+    value, v1 = best
+    return set(v1), value
+
+
+def save_kb(kb, path) -> None:
+    """Write a KB back out in canonical key order; load_kb(save_kb(x)) == x."""
+    data = {
+        "classes": [
+            {
+                "id": cls.class_id,
+                "canonical": cls.canonical,
+                "members": sorted(cls.members),
+                "quasi": sorted(cls.quasi_synonym_of),
+            }
+            for cls in sorted(kb.classes.values(), key=lambda c: c.class_id)
+        ],
+        "categories": [
+            {"surface": rec.surface, "category": rec.category}
+            for rec in sorted(kb.records.values(), key=lambda r: r.surface)
+        ],
+        "stop_words": sorted(kb.stop_words),
+        "abbreviations": {k: kb.abbreviations[k] for k in sorted(kb.abbreviations)},
+    }
+    Path(path).write_text(json.dumps(data, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")

@@ -9,15 +9,7 @@ import pytest
 
 from semindex import cli
 from semindex.agents import Routing, TermStatus, run_pipeline, write_blackboard
-from semindex.cocluster import (
-    brute_force_min_ratio_cut,
-    cocluster,
-    graph_from_matrix,
-    matrix_from_counts,
-    normalize_matrix,
-    ratio_cut,
-)
-from semindex.cocluster import _singular_pairs
+from semindex.cocluster import _singular_pairs, cocluster, normalize_matrix
 from semindex.corpus import Document, tokenize
 from semindex.graphs import TermGraph, export_pajek, parse_pajek
 from semindex.kb import load_kb
@@ -25,6 +17,7 @@ from semindex.lexicon import stem
 from semindex.metrics import load_gold, precision_recall
 
 from conftest import MINI, REPO, assign_docs, assign_words, dense, mstar
+from oracles import brute_force_min_ratio_cut, graph_from_matrix, matrix_from_counts, ratio_cut
 
 CONFIG = str(MINI / "config.ini")
 GOLDEN = REPO / "tests" / "golden"

@@ -412,8 +412,9 @@ def test_pipeline_and_ego_export_load_no_scipy(tmp_path):
 _ABOVE_CUTOFF = """\
 import sys
 from semindex import cocluster as cc
+from oracles import matrix_from_counts
 n = 1025  # n x (n - 1) entries, one in each row
-m = cc.matrix_from_counts({(i, i % (n - 1)): 1 for i in range(n)}, range(n), range(n - 1))
+m = matrix_from_counts({(i, i % (n - 1)): 1 for i in range(n)}, range(n), range(n - 1))
 assert m.shape[0] * m.shape[1] > cc._DENSE_ENTRIES
 before = "scipy" in sys.modules
 An = cc.normalize_matrix(m)
@@ -422,7 +423,7 @@ print(before, type(An).__module__.startswith("scipy.sparse"), "scipy.sparse" in 
 
 
 def test_normalizing_above_dense_cutoff_loads_scipy_sparse():
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), str(REPO / "tests")]))
     result = subprocess.run([sys.executable, "-c", _ABOVE_CUTOFF], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

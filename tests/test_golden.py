@@ -7,7 +7,9 @@ are the mini corpus and small seeded inputs from the benchmark's generator
 800 documents and 1500 terms lies above the dense-SVD cutoff, the balanced
 store below it.  Those two stores are also run as `python -m semindex`
 children with `OPENBLAS_NUM_THREADS` unset, so the thread count the CLI
-sets for OpenBLAS is pinned too.
+sets for OpenBLAS is pinned too.  The benchmark's tracer
+(`bench/tracing.py`) is imported the same way, to check that every
+function it wraps still exists where it looks it up.
 
 A change that means to alter an output regenerates the manifest with
 `PYTHONPATH=src python tests/test_golden.py` and says so.
@@ -15,6 +17,8 @@ A change that means to alter an output regenerates the manifest with
 
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
@@ -31,6 +35,7 @@ from conftest import MINI, REPO
 
 sys.path.insert(0, str(REPO / "bench"))
 import generate  # noqa: E402
+import tracing  # noqa: E402
 
 MANIFEST = Path(__file__).resolve().parent / "golden" / "digests.json"
 SEED = 21
@@ -111,6 +116,17 @@ def test_outputs_match_golden_digests(case, tmp_path):
 @pytest.mark.parametrize("case", ["recluster/k2", "recluster/balanced"])
 def test_cli_children_match_golden_digests(case, tmp_path):
     assert_golden(case, run_case(case, tmp_path, in_child))
+
+
+def test_traced_functions_exist_with_the_arguments_read():
+    for module, name, _ in tracing.WRAPPED:
+        assert hasattr(importlib.import_module(f"semindex.{module}"), name), (module, name)
+    # the tracer's hooks read the output path at these argument positions
+    for module, name, position in [("agents", "write_blackboard", 1),
+                                   ("cli", "write_index_store", 2),
+                                   ("graphs", "export_pajek", 1)]:
+        function = getattr(importlib.import_module(f"semindex.{module}"), name)
+        assert list(inspect.signature(function).parameters)[position] == "path", name
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semindex.cocluster import CoClustering, matrix_from_counts
+from semindex.cocluster import CoClustering
 from semindex.errors import MalformedPajek, UnknownNode, UnknownTerm
 from semindex.graphs import (
     CombineMode,
@@ -14,6 +14,7 @@ from semindex.graphs import (
 )
 
 from conftest import dense, mstar
+from oracles import matrix_from_counts
 
 
 def mstar_plus_w5():
@@ -122,7 +123,7 @@ def test_graph_builders_match_dense_formulas():
         k = int(rng.integers(1, 5))
         word_labels = rng.integers(k, size=len(m.terms))
         doc_labels = rng.integers(k, size=len(m.docs))
-        cc = CoClustering.from_labels(m, k, word_labels, doc_labels, np.zeros((0, 0)))
+        cc = CoClustering.from_labels(m, k, word_labels, doc_labels)
         assert cluster_graph(m, cc) == dense_cluster_graph(m, cc)
 
 

@@ -190,15 +190,22 @@ _DROP = object()
 
 
 def _edit(path, value=_DROP):
-    """A mutation that sets, or by default deletes, the key at `path`."""
+    """A mutation that sets, or by default deletes, the key at `path`; it returns the store.
+
+    The empty path replaces the whole store by `value`.
+    """
     def mutate(store):
+        if not path:
+            return value
         *parents, last = path
+        parent = store
         for key in parents:
-            store = store[key]
+            parent = parent[key]
         if value is _DROP:
-            del store[last]
+            del parent[last]
         else:
-            store[last] = value
+            parent[last] = value
+        return store
     return mutate
 
 
@@ -217,19 +224,24 @@ D1, D2 = ("documents", "d1"), ("documents", "d2")
     (_edit((*D1, "terms", "port", "n"), 1.5), "n = 1.5 is not an integer"),
     (_edit((*D1, "terms", "port", "n"), "2"), "n = '2' is not an integer"),
     (_edit((*D2, "terms", "quay", "n"), True), "n = True is not an integer"),
-    (_edit(("documents",), []), "'list' object has no attribute 'items'"),
+    (_edit((), []), ": the top level is not an object"),
+    (_edit(("documents",), []), ": documents is not an object"),
+    (_edit(D2, []), "document 'd2' is not an object"),
+    (_edit((*D1, "terms"), []), "document 'd1': terms is not an object"),
+    (_edit((*D2, "terms", "quay"), []), "document 'd2': term 'quay' is not an object"),
     (_edit((*D1, "terms", "port", "n"), 10**400), "a term count is too large for a float"),
     (None, "(char "),
 ], ids=[
     "status", "status-discarded", "routing", "no-documents", "no-terms", "no-routing", "no-n",
-    "no-n-discarded", "float-n", "string-n", "bool-n", "documents-list", "huge-n", "truncated",
+    "no-n-discarded", "float-n", "string-n", "bool-n", "top-level-list", "documents-list",
+    "document-list", "terms-list", "term-list", "huge-n", "truncated",
 ])
 def test_malformed_index_store_is_domain_error(tmp_path, capsys, mutate, detail):
     out = tmp_path / "out"
     out.mkdir()
     store = valid_store()
     if mutate is not None:
-        mutate(store)
+        store = mutate(store)
     text = json.dumps(store, indent=2)
     if mutate is None:
         text = text[: len(text) // 2]

@@ -1,11 +1,16 @@
+import contextlib
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semindex.cli import main
 from semindex.errors import InconsistentKb, MalformedKb, UnknownTerm
-from semindex.kb import load_kb, normalize_term, quasi_synonyms, save_kb
+from semindex.kb import load_kb, normalize_term, quasi_synonyms
 
-from conftest import kb_file, make_kb
+from conftest import MINI, kb_file, make_kb
+from oracles import save_kb
 
 
 def harbor_kb(tmp_path):
@@ -200,3 +205,52 @@ def test_entity_surfaces_get_singleton_classes(mini_kb):
     rec = mini_kb.records["america"]
     assert rec.category == "entity-place"
     assert normalize_term(mini_kb, "america") == "america"
+
+
+def index_with_kb(kb_path, out_dir):
+    """cli.main's exit status for `index` of the mini corpus with this KB."""
+    return main(["index", "--kb_path", str(kb_path), "--corpus_dir", str(MINI / "docs"),
+                 "--reference_year", "2010", "--out_dir", str(out_dir)])
+
+
+def is_kb_error(err: str) -> bool:
+    return err.count("\n") == 1 and err.startswith(
+        ("error: errors.MalformedKb: ", "error: errors.InconsistentKb: "))
+
+
+@pytest.mark.parametrize("data, detail", [
+    ({"classes": 5}, "classes must be a list"),
+    ({"categories": 5}, "categories must be a list"),
+    ({"stop_words": 7}, "stop_words must be a list"),
+    ({"stop_words": "xy"}, "stop_words must be a list"),
+    ({"abbreviations": []}, "abbreviations must be an object"),
+    ({"categories": [{"surface": "a", "category": ["x"]}]}, "unknown category ['x'] for 'a'"),
+], ids=["classes", "categories", "stop-words", "stop-words-string", "abbreviations",
+        "category-list"])
+def test_wrong_kb_type_is_domain_error(tmp_path, capsys, data, detail):
+    assert index_with_kb(kb_file(tmp_path, data), tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: errors.MalformedKb: ") and err.count("\n") == 1
+    assert detail in err
+
+
+_KB_KEYS = ["id", "canonical", "members", "quasi", "surface", "category"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6) | st.sampled_from(["port", "c1", "noun", "Port", "a b"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KB_KEYS) | st.text(max_size=4), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.fixed_dictionaries({}, optional={
+    key: json_values for key in ("classes", "categories", "stop_words", "abbreviations")
+}))
+def test_any_kb_loads_or_is_one_line_kb_error(tmp_path_factory, data):
+    work = tmp_path_factory.mktemp("kb")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = index_with_kb(kb_file(work, data), work / "out")
+    assert (status, err.getvalue()) == (0, "") or (status == 1 and is_kb_error(err.getvalue()))
