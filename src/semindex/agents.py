@@ -177,7 +177,7 @@ def run_pipeline(kb: KnowledgeBase, corpus, tau: float, reference_year: int):
     stored only when relevant to the last entry, else discarded.  Every
     document kept becomes an entry.
     """
-    known = set(kb.canonical_classes)
+    known = set(kb.quasi_links)
     words = {}  # per call: another KB gives other terms
     documents, entries = [], []
     for doc in corpus:

@@ -31,10 +31,6 @@ class Config:
     gold_path: str = ""
 
 
-_INT_FIELDS = {"reference_year", "k", "seed", "refine_passes"}
-_FLOAT_FIELDS = {"tau"}
-
-
 def load_config(path) -> Config:
     values = {}
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
@@ -56,13 +52,10 @@ def _apply(config: Config, values: dict) -> Config:
         if key not in Config.__dataclass_fields__:
             raise SemindexError(f"unknown config key {key!r}")
         try:
-            if key in _INT_FIELDS:
-                value = int(value)
-            elif key in _FLOAT_FIELDS:
-                value = float(value)
+            # each value takes the type of its default: str, int or float
+            fields[key] = type(getattr(config, key))(value)
         except ValueError:
             raise SemindexError(f"{key} must be a number, got {value!r}") from None
-        fields[key] = value
     config = replace(config, **fields)
     if not 0.0 <= config.tau <= 1.0:
         raise SemindexError(f"tau must lie in [0,1], got {config.tau}")
@@ -172,10 +165,11 @@ def _first_fault(documents) -> None:
         if not set(map(type, counts)) <= {int}:
             bad = next(n for n in counts if type(n) is not int)
             raise ValueError(f"document {doc_id!r}: n = {bad!r} is not an integer")
-        if not STATUS_CODES.issuperset(statuses):
-            bad = next(s for s in statuses if s not in STATUS_CODES)
-            raise ValueError(f"document {doc_id!r}: unknown term status {bad!r}")
-        if routing not in ROUTING_CODES:
+        # a code of another type, unhashable ones too, is named like a bad string
+        bad = [s for s in statuses if type(s) is not str or s not in STATUS_CODES]
+        if bad:
+            raise ValueError(f"document {doc_id!r}: unknown term status {bad[0]!r}")
+        if type(routing) is not str or routing not in ROUTING_CODES:
             raise ValueError(f"document {doc_id!r}: unknown routing {routing!r}")
 
 
@@ -195,7 +189,7 @@ def read_index_store(path) -> lexicon.Postings:
             raise
     except KeyError as exc:
         raise MalformedIndexStore(f"{path}: missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, RecursionError, TypeError, ValueError) as exc:
         raise MalformedIndexStore(f"{path}: {exc}") from None
     try:
         return lexicon.Postings.build(*columns)

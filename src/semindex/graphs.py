@@ -142,7 +142,10 @@ def parse_pajek(path) -> TermGraph:
     header = _HEADER_RE.match(lines[0]) if lines else None
     if not header:
         raise MalformedPajek(f"{path}: missing or bad *Vertices header")
-    count = int(header.group(1))
+    try:
+        count = int(header.group(1))
+    except ValueError:  # more digits than int converts
+        raise MalformedPajek(f"{path}: *Vertices count has {len(header.group(1))} digits") from None
     if len(lines) <= count:
         raise MalformedPajek(f"{path}: *Vertices {count} but {len(lines) - 1} lines follow")
     nodes = []
@@ -161,8 +164,11 @@ def parse_pajek(path) -> TermGraph:
         match = _EDGE_RE.match(line)
         if not match:
             raise MalformedPajek(f"{path}: bad edge line {line!r}")
-        u, v = int(match.group(1)), int(match.group(2))
+        try:
+            u, v, w = int(match.group(1)), int(match.group(2)), float(match.group(3))
+        except ValueError:
+            raise MalformedPajek(f"{path}: bad edge line {line!r}") from None
         if not (1 <= u <= count and 1 <= v <= count):
             raise MalformedPajek(f"{path}: edge {u} {v} names a vertex outside 1..{count}")
-        edges.append((u - 1, v - 1, float(match.group(3))))
+        edges.append((u - 1, v - 1, w))
     return TermGraph(tuple(nodes), tuple(edges))

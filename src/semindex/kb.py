@@ -3,13 +3,15 @@
 The KB is a single JSON file.  Synonym classes act as hyperedges grouping
 surface forms under one canonical; quasi-synonym links connect classes and
 are symmetric regardless of declaration direction: `load_kb` closes them
-once, so `quasi_synonyms` is a lookup.
+once, so `quasi_synonyms` is a lookup.  A loaded KB keeps only the maps the
+engine reads: each surface's canonical and category, and each canonical's
+links.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InconsistentKb, MalformedKb, UnknownTerm, read_text
@@ -35,29 +37,12 @@ _TOP_LEVEL_TYPES = {"classes": list, "categories": list, "stop_words": list, "ab
 
 
 @dataclass(frozen=True)
-class TermRecord:
-    surface: str
-    canonical: str
-    category: str
-    class_id: str
-
-
-@dataclass(frozen=True)
-class SynonymClass:
-    class_id: str
-    members: frozenset
-    canonical: str
-    quasi_synonym_of: frozenset
-
-
-@dataclass(frozen=True)
 class KnowledgeBase:
-    records: dict  # surface -> TermRecord
-    classes: dict  # class_id -> SynonymClass
+    canonical: dict  # surface -> the canonical of its class
+    category: dict  # surface -> category
+    quasi_links: dict  # canonical -> frozenset of canonicals, closed in both directions
     stop_words: frozenset
     abbreviations: dict  # surface -> expansion
-    canonical_classes: dict = field(default_factory=dict)  # canonical -> class_id
-    quasi_links: dict = field(default_factory=dict)  # canonical -> frozenset of canonicals
 
 
 def _check_word(word, what: str) -> str:
@@ -75,7 +60,7 @@ def load_kb(path) -> KnowledgeBase:
     raw = read_text(path)
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedKb(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedKb(f"{path}: top level must be an object")
@@ -98,7 +83,7 @@ def load_kb(path) -> KnowledgeBase:
             raise InconsistentKb(f"duplicate category record for {surface!r}")
         categories[surface] = entry["category"]
 
-    classes = {}
+    classes = {}  # class id -> (canonical, members, quasi class ids)
     surface_to_class = {}
     for entry in data.get("classes", []):
         if not isinstance(entry, dict) or set(entry) != {"id", "canonical", "members", "quasi"}:
@@ -124,50 +109,42 @@ def load_kb(path) -> KnowledgeBase:
             if m in surface_to_class:
                 raise InconsistentKb(f"surface {m!r} appears in classes {surface_to_class[m]!r} and {cid!r}")
             surface_to_class[m] = cid
-        classes[cid] = SynonymClass(cid, members, canonical, quasi)
+        classes[cid] = (canonical, members, quasi)
 
     # every class member needs a category record
-    for cls in classes.values():
-        for m in sorted(cls.members):
+    for cid, (_, members, _) in classes.items():
+        for m in sorted(members):
             if m not in categories:
-                raise InconsistentKb(f"class {cls.class_id!r} lists {m!r} but no record for {m!r} exists")
+                raise InconsistentKb(f"class {cid!r} lists {m!r} but no record for {m!r} exists")
 
     # categorized surfaces outside any class become singleton classes
     for surface in sorted(categories):
         if surface not in surface_to_class:
             if surface in classes:
                 raise InconsistentKb(f"implicit singleton class for {surface!r} collides with class id")
-            classes[surface] = SynonymClass(surface, frozenset({surface}), surface, frozenset())
+            classes[surface] = (surface, frozenset({surface}), frozenset())
             surface_to_class[surface] = surface
 
-    for cls in classes.values():
-        for q in cls.quasi_synonym_of:
+    # links declared in either direction; a class never lists itself
+    linked = {cid: set(quasi) for cid, (_, _, quasi) in classes.items()}
+    for cid, (_, _, quasi) in classes.items():
+        for q in quasi:
             if q not in classes:
-                raise InconsistentKb(f"class {cls.class_id!r} quasi-links unknown class {q!r}")
-
-    records = {}
-    for surface, cid in surface_to_class.items():
-        records[surface] = TermRecord(surface, classes[cid].canonical, categories[surface], cid)
+                raise InconsistentKb(f"class {cid!r} quasi-links unknown class {q!r}")
+            linked[q].add(cid)
+    quasi_links = {
+        classes[cid][0]: frozenset(classes[o][0] for o in others) for cid, others in linked.items()
+    }
 
     stop_words = frozenset(_check_word(w, "stop word") for w in data.get("stop_words", []))
-    canonical_classes = {}
-    for cls in classes.values():
-        if cls.canonical in canonical_classes:
-            raise InconsistentKb(f"canonical {cls.canonical!r} shared by two classes")
-        canonical_classes[cls.canonical] = cls.class_id
-    bad_stops = stop_words & set(canonical_classes)
+    canonicals = set()
+    for canonical, _, _ in classes.values():
+        if canonical in canonicals:
+            raise InconsistentKb(f"canonical {canonical!r} shared by two classes")
+        canonicals.add(canonical)
+    bad_stops = stop_words & canonicals
     if bad_stops:
         raise InconsistentKb(f"canonical terms declared as stop words: {sorted(bad_stops)}")
-
-    # links declared in either direction; a class never lists itself
-    linked = {cid: set(cls.quasi_synonym_of) for cid, cls in classes.items()}
-    for cls in classes.values():
-        for q in cls.quasi_synonym_of:
-            linked[q].add(cls.class_id)
-    quasi_links = {
-        classes[cid].canonical: frozenset(classes[o].canonical for o in others)
-        for cid, others in linked.items()
-    }
 
     abbreviations = {}
     for key, value in data.get("abbreviations", {}).items():
@@ -175,13 +152,13 @@ def load_kb(path) -> KnowledgeBase:
             raise MalformedKb(f"bad abbreviation entry {key!r}: {value!r}")
         abbreviations[key.lower()] = value.lower()
 
-    return KnowledgeBase(records, classes, stop_words, abbreviations, canonical_classes, quasi_links)
+    canonical = {surface: classes[cid][0] for surface, cid in surface_to_class.items()}
+    return KnowledgeBase(canonical, categories, quasi_links, stop_words, abbreviations)
 
 
 def normalize_term(kb: KnowledgeBase, surface: str) -> Optional[str]:
     """Canonical form of a known surface, None when the KB has no entry."""
-    rec = kb.records.get(surface)
-    return rec.canonical if rec is not None else None
+    return kb.canonical.get(surface)
 
 
 def quasi_synonyms(kb: KnowledgeBase, canonical: str) -> set:

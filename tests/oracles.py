@@ -81,21 +81,17 @@ def brute_force_min_ratio_cut(g: BipartiteGraph):
 
 
 def save_kb(kb, path) -> None:
-    """Write a KB back out in canonical key order; load_kb(save_kb(x)) == x."""
+    """Write a KB back out in key order, one class per canonical and named by it;
+    load_kb(save_kb(x)) == x."""
+    members = {}
+    for surface, canonical in sorted(kb.canonical.items()):
+        members.setdefault(canonical, []).append(surface)
     data = {
         "classes": [
-            {
-                "id": cls.class_id,
-                "canonical": cls.canonical,
-                "members": sorted(cls.members),
-                "quasi": sorted(cls.quasi_synonym_of),
-            }
-            for cls in sorted(kb.classes.values(), key=lambda c: c.class_id)
+            {"id": c, "canonical": c, "members": members[c], "quasi": sorted(kb.quasi_links[c])}
+            for c in sorted(members)
         ],
-        "categories": [
-            {"surface": rec.surface, "category": rec.category}
-            for rec in sorted(kb.records.values(), key=lambda r: r.surface)
-        ],
+        "categories": [{"surface": s, "category": kb.category[s]} for s in sorted(kb.category)],
         "stop_words": sorted(kb.stop_words),
         "abbreviations": {k: kb.abbreviations[k] for k in sorted(kb.abbreviations)},
     }

@@ -223,7 +223,7 @@ def test_criterion_5_formula_fidelity():
 
 def _random_documents(kb, count, rng):
     pool = (
-        sorted(kb.records)
+        sorted(kb.canonical)
         + sorted(kb.stop_words)
         + ["Port.", "Intl.", "X9", "1492", "cargo-bay", "-", "..", "HARBOR"]
         + ["".join(rng.choice(list("abcdefghij"), size=rng.integers(2, 9))) for _ in range(40)]

@@ -69,7 +69,7 @@ def propose_per_token_then_merge(kb, pairs) -> dict:
     the chain before it built one term map per document."""
     reachable = set()
     for term, status in pairs:
-        if status is T and term in kb.canonical_classes:
+        if status is T and term in kb.quasi_links:
             reachable |= quasi_synonyms(kb, term)
     return merged((t, T if s is J and t in reachable else s) for t, s in pairs)
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semindex import agents, cli, cocluster
 from semindex.cli import Config, load_config, main, parse_threshold
@@ -52,6 +54,29 @@ def test_non_numeric_config_value_rejected(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(SemindexError, match="must be a number"):
         load_config(path)
+
+
+config_values = st.sampled_from(
+    ["1", "0", "-1", "0.5", "2.0", "1e400", "nan", "9" * 5000, "lexical", "min_count:2"]
+) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+config_lines = st.builds(
+    "{} = {}".format, st.sampled_from([*Config.__dataclass_fields__, "bogus"]), config_values
+) | st.sampled_from(["", "# note", "k 3", "=", "tau=0.3"]) | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=12
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(config_lines, max_size=6))
+def test_any_config_text_loads_or_is_one_line_error(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("config") / "c.ini"
+    path.write_bytes("\n".join(lines).encode("utf-8"))
+    try:
+        config = load_config(path)
+    except SemindexError as exc:
+        assert len(str(exc).splitlines()) == 1
+    else:
+        assert 0.0 <= config.tau <= 1.0 and config.k >= 1 and config.seed >= 0
 
 
 @pytest.mark.parametrize("flag, value", [

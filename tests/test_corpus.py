@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semindex.corpus import Document, ingest, tokenize
-from semindex.errors import DuplicateId, MissingMetadata
+from semindex.errors import DuplicateId, MissingMetadata, SemindexError
 
 from semindex.kb import KnowledgeBase
 
@@ -11,8 +11,9 @@ from semindex.kb import KnowledgeBase
 @pytest.fixture(scope="module")
 def kb():
     return KnowledgeBase(
-        records={},
-        classes={},
+        canonical={},
+        category={},
+        quasi_links={},
         stop_words=frozenset({"the"}),
         abbreviations={"intl.": "international"},
     )
@@ -82,3 +83,27 @@ def test_tokenize_idempotent_on_joined_output(kb, text):
     once = tokenize(kb, text)
     twice = tokenize(kb, " ".join(once))
     assert once == twice
+
+
+header_values = st.sampled_from(["a", "2009", "0", "-5", " 12 ", "1e3", "9" * 5000]) | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=8
+)
+header_lines = st.builds(
+    "{}:{}".format, st.sampled_from(["id", "title", "year", " year ", "other"]), header_values
+) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(headers=st.lists(st.lists(header_lines, max_size=5), min_size=1, max_size=3))
+def test_any_headers_ingest_or_are_one_line_error(tmp_path_factory, headers):
+    work = tmp_path_factory.mktemp("docs")
+    paths = []
+    for i, lines in enumerate(headers):
+        paths.append(work / f"{i}.txt")
+        paths[-1].write_bytes(("\n".join(lines) + "\n\nbody text\n").encode("utf-8"))
+    try:
+        docs = ingest(paths)
+    except SemindexError as exc:
+        assert len(str(exc).splitlines()) == 1
+    else:
+        assert len({doc.id for doc in docs}) == len(paths) and all(doc.year > 0 for doc in docs)

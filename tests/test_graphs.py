@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semindex.cocluster import CoClustering
 from semindex.errors import MalformedPajek, UnknownNode, UnknownTerm
@@ -236,3 +240,36 @@ def test_parse_pajek_rejects_edge_outside_vertices(tmp_path, edge):
     path.write_text(f'*Vertices 1\n1 "a"\n*Edges\n{edge}\n', encoding="utf-8")
     with pytest.raises(MalformedPajek, match="1..1"):
         parse_pajek(path)
+
+
+@pytest.mark.parametrize("text", [
+    '*Vertices 2\n1 "a"\n2 "b"\n*Edges\n1 2 abc\n',
+    "*Vertices " + "9" * 5000 + "\n",
+    '*Vertices 1\n1 "a"\n*Edges\n1 ' + "1" * 5000 + " 1\n",
+], ids=["word-weight", "long-count", "long-vertex"])
+def test_parse_pajek_bad_number_names_the_path(tmp_path, text):
+    path = tmp_path / "g.net"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedPajek, match=re.escape(f"{path}: ")):
+        parse_pajek(path)
+
+
+pajek_lines = st.sampled_from([
+    "*Vertices 0", "*Vertices 1", "*Vertices 2", "*Vertices " + "9" * 5000, "*Edges",
+    '1 "a"', '2 "b"', '3 "c d"', "1 2 1", "2 1 0.5", "1 2 abc", "1 2 nan", "3 1 1", "1 1 -2",
+]) | st.from_regex(r"[0-9]{1,3} [0-9]{1,3} \S{1,5}", fullmatch=True) | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=10
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(pajek_lines, max_size=8))
+def test_any_pajek_text_parses_or_is_malformed(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("net") / "g.net"
+    path.write_bytes("\n".join(lines).encode("utf-8"))
+    try:
+        graph = parse_pajek(path)
+    except MalformedPajek as exc:
+        assert len(str(exc).splitlines()) == 1
+    else:
+        assert all(0 <= u < len(graph.nodes) and 0 <= v < len(graph.nodes) for u, v, _ in graph.edges)

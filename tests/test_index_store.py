@@ -216,6 +216,8 @@ D1, D2 = ("documents", "d1"), ("documents", "d2")
     (_edit((*D1, "terms", "port", "status"), "X"), "unknown term status 'X'"),
     (_edit((*D2, "terms", "quay", "status"), "X"), "unknown term status 'X'"),
     (_edit((*D1, "routing"), "Maybe"), "unknown routing 'Maybe'"),
+    (_edit((*D1, "terms", "port", "status"), []), "document 'd1': unknown term status []"),
+    (_edit((*D1, "routing"), {}), "document 'd1': unknown routing {}"),
     (_edit(("documents",)), "missing key 'documents'"),
     (_edit((*D1, "terms")), "missing key 'terms'"),
     (_edit((*D2, "routing")), "missing key 'routing'"),
@@ -232,7 +234,7 @@ D1, D2 = ("documents", "d1"), ("documents", "d2")
     (_edit((*D1, "terms", "port", "n"), 10**400), "a term count is too large for a float"),
     (None, "(char "),
 ], ids=[
-    "status", "status-discarded", "routing", "no-documents", "no-terms", "no-routing", "no-n",
+    "status", "status-discarded", "routing", "status-list", "routing-object", "no-documents", "no-terms", "no-routing", "no-n",
     "no-n-discarded", "float-n", "string-n", "bool-n", "top-level-list", "documents-list",
     "document-list", "terms-list", "term-list", "huge-n", "truncated",
 ])
@@ -253,6 +255,16 @@ def test_malformed_index_store_is_domain_error(tmp_path, capsys, mutate, detail)
     assert err[0].startswith(f"error: errors.MalformedIndexStore: {path}: ")
     assert detail in err[0]
     assert not (out / "clusters.json").exists()
+
+
+def test_deeply_nested_index_store_is_domain_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "index_store.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    assert cli.main(["cluster", "--out_dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: errors.MalformedIndexStore: {path}: ") and err.count("\n") == 1
 
 
 def test_valid_index_store_is_read(tmp_path):

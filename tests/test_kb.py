@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ def test_load_single_class(tmp_path):
 
 def test_load_empty_kb(tmp_path):
     kb = make_kb(tmp_path)
-    assert kb.records == {}
+    assert kb.canonical == kb.category == kb.quasi_links == {}
     assert kb.stop_words == frozenset()
 
 
@@ -96,10 +97,12 @@ def test_normalize_term_canonical_fixed_point(tmp_path):
 
 
 def test_normalize_idempotent_and_class_consistent(mini_kb):
-    for cls in mini_kb.classes.values():
-        canonicals = {normalize_term(mini_kb, m) for m in cls.members}
-        assert canonicals == {cls.canonical}
-        assert normalize_term(mini_kb, cls.canonical) == cls.canonical
+    data = json.loads((MINI / "kb.json").read_text(encoding="utf-8"))
+    for cls in data["classes"]:
+        canonicals = {normalize_term(mini_kb, m) for m in cls["members"]}
+        assert canonicals == {cls["canonical"]}
+    for canonical in set(mini_kb.canonical.values()):
+        assert normalize_term(mini_kb, canonical) == canonical
 
 
 def test_quasi_synonyms_symmetric_closure(tmp_path):
@@ -123,17 +126,17 @@ def test_quasi_synonyms_symmetric_closure(tmp_path):
         quasi_synonyms(kb, "zeppelin")
 
 
-def _full_scan_quasi_synonyms(kb, canonical):
-    """Every class scanned for a link in either direction to `canonical`'s."""
-    cid = kb.canonical_classes[canonical]
-    out = set()
-    for other in kb.classes.values():
-        if other.class_id == cid:
-            continue
-        if other.class_id in kb.classes[cid].quasi_synonym_of or cid in other.quasi_synonym_of:
-            out.add(other.canonical)
-    out.discard(canonical)
-    return out
+def _full_scan_quasi_synonyms(data, canonical):
+    """Every class of the KB JSON scanned for a link in either direction to `canonical`'s;
+    an implicit singleton class has none."""
+    mine = next((cls for cls in data["classes"] if cls["canonical"] == canonical), None)
+    if mine is None:
+        return set()
+    return {
+        other["canonical"]
+        for other in data["classes"]
+        if other is not mine and (other["id"] in mine["quasi"] or mine["id"] in other["quasi"])
+    }
 
 
 @st.composite
@@ -161,9 +164,13 @@ def linked_kbs(draw):
 @given(data=linked_kbs())
 def test_quasi_synonyms_match_full_scan(tmp_path_factory, data):
     kb = load_kb(kb_file(tmp_path_factory.mktemp("kb"), data))
-    for canonical in kb.canonical_classes:
+    surfaces = {entry["surface"] for entry in data["categories"]}
+    members = {m: cls["canonical"] for cls in data["classes"] for m in cls["members"]}
+    assert kb.canonical == {s: members.get(s, s) for s in surfaces}
+    assert set(kb.quasi_links) == set(kb.canonical.values())
+    for canonical in kb.quasi_links:
         linked = quasi_synonyms(kb, canonical)
-        assert linked == _full_scan_quasi_synonyms(kb, canonical)
+        assert linked == _full_scan_quasi_synonyms(data, canonical)
         assert canonical not in linked
         linked.add("scratch")  # a fresh set each call
         assert "scratch" not in quasi_synonyms(kb, canonical)
@@ -202,8 +209,7 @@ def test_save_load_round_trip(tmp_path, mini_kb):
 
 
 def test_entity_surfaces_get_singleton_classes(mini_kb):
-    rec = mini_kb.records["america"]
-    assert rec.category == "entity-place"
+    assert mini_kb.category["america"] == "entity-place"
     assert normalize_term(mini_kb, "america") == "america"
 
 
@@ -232,6 +238,14 @@ def test_wrong_kb_type_is_domain_error(tmp_path, capsys, data, detail):
     err = capsys.readouterr().err
     assert err.startswith("error: errors.MalformedKb: ") and err.count("\n") == 1
     assert detail in err
+
+
+def test_deeply_nested_kb_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "kb.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    assert index_with_kb(path, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: errors.MalformedKb: {path}: ") and err.count("\n") == 1
 
 
 _KB_KEYS = ["id", "canonical", "members", "quasi", "surface", "category"]
