@@ -63,7 +63,7 @@ def standardizing_agent(kb: KnowledgeBase, words) -> list:
     """(term, status) of each candidate: its canonical, stemming on a failed first lookup.
 
     Stop words and single-character words are dropped outright; candidates
-    that fail both lookups come back flagged MorphError.
+    that fail both lookups come back as their stem, flagged MorphError.
     """
     out = []
     for surface in words:
@@ -77,10 +77,8 @@ def standardizing_agent(kb: KnowledgeBase, words) -> list:
         canonical = normalize_term(kb, stemmed)
         if canonical is not None:
             out.append((canonical, TermStatus.ACCEPTED))
-        elif stemmed != surface:
-            out.append((stemmed, TermStatus.MORPH_ERROR))
         else:
-            out.append((surface, TermStatus.MORPH_ERROR))
+            out.append((stemmed, TermStatus.MORPH_ERROR))
     return out
 
 

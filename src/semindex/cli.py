@@ -228,6 +228,8 @@ def cmd_index(config: Config) -> list:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise SemindexError(f"cannot create out_dir {out}: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL byte in the path
+        raise SemindexError(f"cannot create out_dir {out}: {exc}") from None
     indexed, entries = agents.run_pipeline(kb, corpus, config.tau, config.reference_year)
     agents.write_blackboard(entries, out / "blackboard.xml")
     years = {doc.id: doc.year for doc in corpus}

@@ -57,22 +57,16 @@ def _is_mixed_alnum(word: str) -> bool:
 
 
 def _clean_word(kb: KnowledgeBase, word: str, out: list, seen: frozenset) -> None:
-    # abbreviation expansion runs before the mixed-alnum filter; the seen set
-    # guards against expansion cycles
-    if word in kb.abbreviations and word not in seen:
-        for part in kb.abbreviations[word].split():
-            _clean_word(kb, part, out, seen | {word})
-        return
+    # the word, else its edge-stripped form, expands as an abbreviation before
+    # the mixed-alnum filter; the seen set guards against expansion cycles
     stripped = word.strip(string.punctuation)
-    if stripped != word and stripped in kb.abbreviations and stripped not in seen:
-        for part in kb.abbreviations[stripped].split():
-            _clean_word(kb, part, out, seen | {stripped})
-        return
-    if not stripped:
-        return
-    if _is_mixed_alnum(stripped):
-        return
-    out.append(stripped)
+    for form in (word, stripped):
+        if form in kb.abbreviations and form not in seen:
+            for part in kb.abbreviations[form].split():
+                _clean_word(kb, part, out, seen | {form})
+            return
+    if stripped and not _is_mixed_alnum(stripped):
+        out.append(stripped)
 
 
 def tokenize(kb: KnowledgeBase, text: str) -> list:

@@ -19,6 +19,8 @@ def read_text(path) -> str:
         raise UnreadableFile(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise UnreadableFile(f"cannot read {path}: not UTF-8 (byte {exc.start})") from None
+    except ValueError as exc:  # a NUL byte in the path
+        raise UnreadableFile(f"cannot read {path}: {exc}") from None
 
 
 class UnwritableFile(SemindexError):
@@ -31,6 +33,8 @@ def write_text(path, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise UnwritableFile(f"cannot write {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL byte in the path
+        raise UnwritableFile(f"cannot write {path}: {exc}") from None
 
 
 # knowledge base

@@ -74,44 +74,32 @@ def cluster_graph(m: TermDocMatrix, cc: CoClustering) -> TermGraph:
 
 
 def combine_nodes(g: TermGraph, a: str, b: str, mode: CombineMode) -> TermGraph:
-    """Merge two nodes; Union joins payloads, Intersection keeps the overlap."""
+    """Merge two nodes; Union joins payloads, Intersection keeps the overlap.
+
+    The merged node takes the earlier place; edges that now join the same
+    nodes are summed, and the internal a-b edge disappears.
+    """
     labels = g.labels()
     if a == b:
         raise ValueError("cannot combine a node with itself")
-    if a not in labels or b not in labels:
-        missing = a if a not in labels else b
-        raise UnknownNode(f"no node labeled {missing!r}")
+    for label in (a, b):
+        if label not in labels:
+            raise UnknownNode(f"no node labeled {label!r}")
     ia, ib = labels.index(a), labels.index(b)
     pa, pb = g.nodes[ia][1], g.nodes[ib][1]
     if mode is CombineMode.UNION:
         merged = (f"{a}+{b}", pa | pb)
     else:
         merged = (f"{a}·{b}", pa & pb)
-
-    new_nodes = []
-    remap = {}
-    for i in range(len(g.nodes)):
-        if i == min(ia, ib):
-            remap[ia] = remap[ib] = len(new_nodes)
-            new_nodes.append(merged)
-        elif i in (ia, ib):
-            continue
-        else:
-            remap[i] = len(new_nodes)
-            new_nodes.append(g.nodes[i])
-
-    weights = {}
-    order = []
+    kept, gone = sorted((ia, ib))
+    nodes = g.nodes[:kept] + (merged,) + g.nodes[kept + 1:gone] + g.nodes[gone + 1:]
+    weights = {}  # (low, high) -> summed weight, in order of first appearance
     for u, v, w in g.edges:
-        nu, nv = remap[u], remap[v]
-        if nu == nv:
-            continue  # the internal a-b edge disappears, no self-loop
-        key = (min(nu, nv), max(nu, nv))
-        if key not in weights:
-            weights[key] = 0.0
-            order.append(key)
-        weights[key] += w
-    return TermGraph(tuple(new_nodes), tuple((u, v, weights[(u, v)]) for u, v in order))
+        nu, nv = (kept if i == gone else i - (i > gone) for i in (u, v))
+        if nu != nv:
+            key = (min(nu, nv), max(nu, nv))
+            weights[key] = weights.get(key, 0.0) + w
+    return TermGraph(nodes, tuple((u, v, w) for (u, v), w in weights.items()))
 
 
 def _format_weight(w: float) -> str:
@@ -137,7 +125,7 @@ _EDGE_RE = re.compile(r"^(\d+) (\d+) (\S+)$")
 
 
 def parse_pajek(path) -> TermGraph:
-    """Read back a Pajek file written by export_pajek (payloads are lost)."""
+    """Read back a Pajek file written by export_pajek, vertices numbered 1..n (payloads are lost)."""
     lines = read_text(path).splitlines()
     header = _HEADER_RE.match(lines[0]) if lines else None
     if not header:
@@ -149,18 +137,15 @@ def parse_pajek(path) -> TermGraph:
     if len(lines) <= count:
         raise MalformedPajek(f"{path}: *Vertices {count} but {len(lines) - 1} lines follow")
     nodes = []
-    pos = 1
-    for _ in range(count):
-        match = _VERTEX_RE.match(lines[pos])
-        if not match:
-            raise MalformedPajek(f"{path}: bad vertex line {lines[pos]!r}")
+    for number, line in enumerate(lines[1:count + 1], 1):
+        match = _VERTEX_RE.match(line)
+        if not match or match.group(1) != str(number):  # as text: int() caps its digits
+            raise MalformedPajek(f"{path}: bad vertex line {line!r}")
         nodes.append((match.group(2), frozenset()))
-        pos += 1
-    if pos >= len(lines) or lines[pos] != "*Edges":
+    if lines[count + 1:count + 2] != ["*Edges"]:
         raise MalformedPajek(f"{path}: missing *Edges section")
-    pos += 1
     edges = []
-    for line in lines[pos:]:
+    for line in lines[count + 2:]:
         match = _EDGE_RE.match(line)
         if not match:
             raise MalformedPajek(f"{path}: bad edge line {line!r}")

@@ -137,12 +137,7 @@ def load_kb(path) -> KnowledgeBase:
     }
 
     stop_words = frozenset(_check_word(w, "stop word") for w in data.get("stop_words", []))
-    canonicals = set()
-    for canonical, _, _ in classes.values():
-        if canonical in canonicals:
-            raise InconsistentKb(f"canonical {canonical!r} shared by two classes")
-        canonicals.add(canonical)
-    bad_stops = stop_words & canonicals
+    bad_stops = stop_words & quasi_links.keys()  # one key per class: its canonical
     if bad_stops:
         raise InconsistentKb(f"canonical terms declared as stop words: {sorted(bad_stops)}")
 

@@ -265,6 +265,30 @@ def test_unreadable_input_is_domain_error(tmp_path, capsys, case):
     assert str(path) in err[0]
 
 
+# case -> (a config line whose path holds a NUL byte, the command that opens that path)
+NUL_PATHS = {
+    "kb": ("kb_path = a\0b", "index"),
+    "gold": ("gold_path = g\0", "eval"),
+    "out-dir": ("out_dir = o\0x", "index"),
+}
+
+
+@pytest.mark.parametrize("case", list(NUL_PATHS))
+def test_nul_byte_in_config_path_is_domain_error(tmp_path, capsys, case):
+    line, command = NUL_PATHS[case]
+    out = tmp_path / "out"
+    if command == "eval":
+        assert run_cli("index", "--config", CONFIG, "--out_dir", str(out)) == 0
+    config = tmp_path / "c.ini"  # argv cannot hold a NUL byte; a config file can
+    base = (MINI / "config.ini").read_text(encoding="utf-8")
+    config.write_text(f"{base}out_dir = {out}\n{line}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(config)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: errors.") and err[0].endswith(": embedded null byte")
+
+
 # output file -> the command line that writes it
 UNWRITABLE = {
     "blackboard.xml": ["pipeline"],

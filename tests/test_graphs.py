@@ -254,9 +254,21 @@ def test_parse_pajek_bad_number_names_the_path(tmp_path, text):
         parse_pajek(path)
 
 
+@pytest.mark.parametrize("text", [
+    '*Vertices 2\n7 "a"\n7 "b"\n*Edges\n1 2 1\n',
+    '*Vertices 2\n2 "a"\n1 "b"\n*Edges\n',
+    '*Vertices 1\n' + "1" * 5000 + ' "a"\n*Edges\n',
+], ids=["repeated", "swapped", "long-number"])
+def test_parse_pajek_rejects_vertex_numbered_out_of_place(tmp_path, text):
+    path = tmp_path / "g.net"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedPajek, match=re.escape(f"{path}: bad vertex line ")):
+        parse_pajek(path)
+
+
 pajek_lines = st.sampled_from([
     "*Vertices 0", "*Vertices 1", "*Vertices 2", "*Vertices " + "9" * 5000, "*Edges",
-    '1 "a"', '2 "b"', '3 "c d"', "1 2 1", "2 1 0.5", "1 2 abc", "1 2 nan", "3 1 1", "1 1 -2",
+    '1 "a"', '2 "b"', '3 "c d"', '7 "a"', "1 2 1", "2 1 0.5", "1 2 abc", "1 2 nan", "3 1 1", "1 1 -2",
 ]) | st.from_regex(r"[0-9]{1,3} [0-9]{1,3} \S{1,5}", fullmatch=True) | st.text(
     st.characters(blacklist_categories=("Cs",)), max_size=10
 )

@@ -1,5 +1,7 @@
 """The index store's writer and reader, and the postings that feed the matrix."""
 
+import contextlib
+import io
 import json
 from collections import Counter
 
@@ -265,6 +267,40 @@ def test_deeply_nested_index_store_is_domain_error(tmp_path, capsys):
     assert cli.main(["cluster", "--out_dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: errors.MalformedIndexStore: {path}: ") and err.count("\n") == 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | any_text
+    | st.sampled_from(["Index", "StoreOnly", "Discard", "T", "F", "I", "J"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["documents", "routing", "terms", "year", "n", "status", "port"]) | any_text,
+        inner, max_size=4),
+    max_leaves=10,
+)
+
+# where the value goes: the top level, a document, its terms, a term and each key below them
+STORE_PATHS = [()] + [
+    (*doc, *keys)
+    for doc, term in ((D1, "port"), (D2, "quay"))
+    for keys in [(), ("terms",), ("terms", term), ("terms", term, "n"), ("terms", term, "status"),
+                 ("routing",), ("year",)]
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(STORE_PATHS), value=json_values)
+@example(path=(*D1, "terms", "port", "n"), value=10**400)
+@example(path=(*D2, "terms", "quay", "n"), value=10**400)
+def test_any_value_in_store_clusters_or_is_one_line_error(tmp_path_factory, path, value):
+    out = tmp_path_factory.mktemp("out")
+    text = json.dumps(_edit(path, value)(valid_store()))
+    (out / "index_store.json").write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = cli.main(["cluster", "--out_dir", str(out)])
+    err = err.getvalue()
+    assert (status, err) == (0, "") or (
+        status == 1 and err.startswith("error: errors.") and err.count("\n") == 1)
 
 
 def test_valid_index_store_is_read(tmp_path):
