@@ -15,7 +15,7 @@ from enum import Enum
 
 from .corpus import tokenize
 from .errors import write_text
-from .kb import KnowledgeBase, normalize_term, quasi_synonyms
+from .kb import KnowledgeBase, quasi_synonyms
 from .lexicon import stem
 
 OBSOLESCENCE_YEARS = 5
@@ -69,12 +69,12 @@ def standardizing_agent(kb: KnowledgeBase, words) -> list:
     for surface in words:
         if surface in kb.stop_words or len(surface) <= 1:
             continue
-        canonical = normalize_term(kb, surface)
+        canonical = kb.canonical.get(surface)
         if canonical is not None:
             out.append((canonical, TermStatus.ACCEPTED))
             continue
         stemmed = stem(surface)
-        canonical = normalize_term(kb, stemmed)
+        canonical = kb.canonical.get(stemmed)
         if canonical is not None:
             out.append((canonical, TermStatus.ACCEPTED))
         else:

@@ -175,7 +175,7 @@ def _first_fault(documents) -> None:
 
 def read_index_store(path) -> lexicon.Postings:
     """The postings of the store's Index documents, in doc_id order."""
-    if not Path(path).exists():
+    if not os.path.exists(path):  # False too for a name the OS rejects
         raise MissingIndexStore(f"{path} not found; run `semindex index` first")
     try:
         store = json.loads(read_text(path))
@@ -343,7 +343,9 @@ def main(argv=None) -> int:
             cmd_pipeline(config)
     except SemindexError as exc:
         module = type(exc).__module__.rsplit(".", 1)[-1]
-        print(f"error: {module}.{type(exc).__name__}: {exc}", file=sys.stderr)
+        message = f"error: {module}.{type(exc).__name__}: {exc}"
+        # one line whatever a path holds: \n, ESC, NUL, U+2028 ... as their escapes
+        print("".join(c if c.isprintable() else repr(c)[1:-1] for c in message), file=sys.stderr)
         return 1
     return 0
 

@@ -84,14 +84,6 @@ class BadClusterCount(SemindexError):
 
 
 # graphs
-class UnknownNode(SemindexError):
-    pass
-
-
-class MalformedPajek(SemindexError):
-    pass
-
-
 class UnwritableLabel(SemindexError):
     pass
 

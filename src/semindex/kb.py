@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InconsistentKb, MalformedKb, UnknownTerm, read_text
 
@@ -149,11 +148,6 @@ def load_kb(path) -> KnowledgeBase:
 
     canonical = {surface: classes[cid][0] for surface, cid in surface_to_class.items()}
     return KnowledgeBase(canonical, categories, quasi_links, stop_words, abbreviations)
-
-
-def normalize_term(kb: KnowledgeBase, surface: str) -> Optional[str]:
-    """Canonical form of a known surface, None when the KB has no entry."""
-    return kb.canonical.get(surface)
 
 
 def quasi_synonyms(kb: KnowledgeBase, canonical: str) -> set:

@@ -1,6 +1,8 @@
-"""Test-only code: the brute-force ratio-cut oracle, a matrix builder by label and a KB writer."""
+"""Test-only code: the brute-force ratio-cut oracle, a matrix builder by label, a KB writer
+and a Pajek reader."""
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import numpy as np
 
 from semindex.cocluster import TermDocMatrix, _counts
 from semindex.errors import EmptyMatrix
+from semindex.graphs import TermGraph
 
 
 @dataclass(frozen=True)
@@ -96,3 +99,30 @@ def save_kb(kb, path) -> None:
         "abbreviations": {k: kb.abbreviations[k] for k in sorted(kb.abbreviations)},
     }
     Path(path).write_text(json.dumps(data, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
+def parse_pajek(path) -> TermGraph:
+    """Read back a file as export_pajek writes it, vertices numbered 1..n; ValueError on other text."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    header = re.fullmatch(r"\*Vertices (\d+)", lines[0]) if lines else None
+    if not header:
+        raise ValueError("missing or bad *Vertices header")
+    count = int(header.group(1))
+    labels = []
+    for number, line in enumerate(lines[1:count + 1], 1):
+        match = re.fullmatch(r'(\d+) "(.*)"', line)
+        if not match or match.group(1) != str(number):
+            raise ValueError(f"bad vertex line {line!r}")
+        labels.append(match.group(2))
+    if lines[count + 1:count + 2] != ["*Edges"]:  # also when vertex lines are missing
+        raise ValueError("missing *Edges section")
+    edges = []
+    for line in lines[count + 2:]:
+        match = re.fullmatch(r"(\d+) (\d+) (\S+)", line)
+        if not match:
+            raise ValueError(f"bad edge line {line!r}")
+        u, v, w = int(match.group(1)) - 1, int(match.group(2)) - 1, float(match.group(3))
+        if not (0 <= u < count and 0 <= v < count):
+            raise ValueError(f"edge {line!r} names a vertex outside 1..{count}")
+        edges.append((u, v, w))
+    return TermGraph(tuple(labels), tuple(edges))

@@ -11,13 +11,13 @@ from semindex import cli
 from semindex.agents import Routing, TermStatus, run_pipeline, write_blackboard
 from semindex.cocluster import _singular_pairs, cocluster, normalize_matrix
 from semindex.corpus import Document, tokenize
-from semindex.graphs import TermGraph, export_pajek, parse_pajek
+from semindex.graphs import TermGraph, export_pajek
 from semindex.kb import load_kb
 from semindex.lexicon import stem
 from semindex.metrics import load_gold, precision_recall
 
 from conftest import MINI, REPO, assign_docs, assign_words, dense, mstar
-from oracles import brute_force_min_ratio_cut, graph_from_matrix, matrix_from_counts, ratio_cut
+from oracles import brute_force_min_ratio_cut, graph_from_matrix, matrix_from_counts, parse_pajek, ratio_cut
 
 CONFIG = str(MINI / "config.ini")
 GOLDEN = REPO / "tests" / "golden"
@@ -265,22 +265,10 @@ def test_criterion_6_pipeline_invariants(tmp_path):
 def test_criterion_7_pajek_goldens(tmp_path):
     with criterion(7, "Pajek exports match goldens; export/parse fixed point"):
         ego = TermGraph(
-            (
-                ("america", frozenset()),
-                ("columbus", frozenset()),
-                ("voyage", frozenset()),
-                ("sea", frozenset()),
-            ),
+            ("america", "columbus", "voyage", "sea"),
             ((0, 1, 2.0), (0, 2, 3.0), (0, 3, 1.5), (2, 3, 1.0)),
         )
-        clusters = TermGraph(
-            (
-                ("cluster-1", frozenset()),
-                ("cluster-2", frozenset()),
-                ("cluster-3", frozenset()),
-            ),
-            ((0, 1, 4.0), (1, 2, 0.25)),
-        )
+        clusters = TermGraph(("cluster-1", "cluster-2", "cluster-3"), ((0, 1, 4.0), (1, 2, 0.25)))
         for graph, golden in ((ego, "ego_fixture.net"), (clusters, "cluster_fixture.net")):
             path = tmp_path / golden
             export_pajek(graph, path)
@@ -297,7 +285,7 @@ def test_criterion_7_pajek_goldens(tmp_path):
                         else:
                             weight = float(np.round(rng.random() * 10, 4)) or 0.5
                         edges.append((u, v, weight))
-            g = TermGraph(tuple((f"v{i}", frozenset()) for i in range(n)), tuple(edges))
+            g = TermGraph(tuple(f"v{i}" for i in range(n)), tuple(edges))
             p1 = tmp_path / "r1.net"
             p2 = tmp_path / "r2.net"
             export_pajek(g, p1)

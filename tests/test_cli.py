@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -287,6 +289,36 @@ def test_nul_byte_in_config_path_is_domain_error(tmp_path, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: errors.") and err[0].endswith(": embedded null byte")
+
+
+# (command, the path option that carries arbitrary text)
+PATH_OPTIONS = [("index", "--kb_path")] + [
+    (command, "--config") for command in ("index", "cluster", "export", "eval", "pipeline")
+] + [(command, "--out_dir") for command in ("cluster", "export", "eval")]
+path_texts = st.text() | st.sampled_from(
+    ["", ".", "a\nb", "a\0b", "\x1b[31mred", "a\u2028b", "tab\there", "é" * 200]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(PATH_OPTIONS), text=path_texts)
+def test_any_path_option_is_one_line_error(tmp_path_factory, case, text):
+    command, option = case
+    empty = tmp_path_factory.mktemp("empty")  # no documents, no index store: nothing is written
+    argv = [command, f"--corpus_dir={empty}"]
+    if option != "--out_dir":
+        argv.append(f"--out_dir={empty}")
+    argv.append(f"{option}={text}")  # the = form keeps argparse from reading text as a flag
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(empty)  # a relative text names nothing that exists
+    try:
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 1
+    finally:
+        os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 # output file -> the command line that writes it

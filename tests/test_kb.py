@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from semindex.cli import main
 from semindex.errors import InconsistentKb, MalformedKb, UnknownTerm
-from semindex.kb import load_kb, normalize_term, quasi_synonyms
+from semindex.kb import load_kb, quasi_synonyms
 
 from conftest import MINI, kb_file, make_kb
 from oracles import save_kb
@@ -29,7 +29,7 @@ def harbor_kb(tmp_path):
 
 def test_load_single_class(tmp_path):
     kb = harbor_kb(tmp_path)
-    assert normalize_term(kb, "harbor") == "port"
+    assert kb.canonical.get("harbor") == "port"
 
 
 def test_load_empty_kb(tmp_path):
@@ -92,17 +92,17 @@ def test_canonical_stop_word_rejected(tmp_path):
 
 def test_normalize_term_canonical_fixed_point(tmp_path):
     kb = harbor_kb(tmp_path)
-    assert normalize_term(kb, "port") == "port"
-    assert normalize_term(kb, "zeppelin") is None
+    assert kb.canonical.get("port") == "port"
+    assert kb.canonical.get("zeppelin") is None
 
 
 def test_normalize_idempotent_and_class_consistent(mini_kb):
     data = json.loads((MINI / "kb.json").read_text(encoding="utf-8"))
     for cls in data["classes"]:
-        canonicals = {normalize_term(mini_kb, m) for m in cls["members"]}
+        canonicals = {mini_kb.canonical.get(m) for m in cls["members"]}
         assert canonicals == {cls["canonical"]}
     for canonical in set(mini_kb.canonical.values()):
-        assert normalize_term(mini_kb, canonical) == canonical
+        assert mini_kb.canonical.get(canonical) == canonical
 
 
 def test_quasi_synonyms_symmetric_closure(tmp_path):
@@ -210,7 +210,7 @@ def test_save_load_round_trip(tmp_path, mini_kb):
 
 def test_entity_surfaces_get_singleton_classes(mini_kb):
     assert mini_kb.category["america"] == "entity-place"
-    assert normalize_term(mini_kb, "america") == "america"
+    assert mini_kb.canonical.get("america") == "america"
 
 
 def index_with_kb(kb_path, out_dir):
