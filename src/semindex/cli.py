@@ -303,12 +303,22 @@ def cmd_pipeline(config: Config) -> None:
         cmd_eval(config, postings)
 
 
+def _one_line(message: str) -> str:
+    """`message` with each unprintable character (\\n, ESC, NUL, U+2028 ...) as its escape."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
+
+
+class _Parser(argparse.ArgumentParser):  # one escaped error line; subparsers inherit the class
+    def error(self, message):
+        super().error(_one_line(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file")
     for name in Config.__dataclass_fields__:
         common.add_argument(f"--{name}")
-    parser = argparse.ArgumentParser(prog="semindex", description=__doc__)
+    parser = _Parser(prog="semindex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("index", parents=[common])
     sub.add_parser("cluster", parents=[common])
@@ -343,9 +353,7 @@ def main(argv=None) -> int:
             cmd_pipeline(config)
     except SemindexError as exc:
         module = type(exc).__module__.rsplit(".", 1)[-1]
-        message = f"error: {module}.{type(exc).__name__}: {exc}"
-        # one line whatever a path holds: \n, ESC, NUL, U+2028 ... as their escapes
-        print("".join(c if c.isprintable() else repr(c)[1:-1] for c in message), file=sys.stderr)
+        print(_one_line(f"error: {module}.{type(exc).__name__}: {exc}"), file=sys.stderr)
         return 1
     return 0
 

@@ -1,7 +1,7 @@
 """Bipartite spectral co-clustering of terms and documents.
 
 The term-document count matrix is kept as its nonzero entries: parallel
-numpy arrays of row, column and count, sorted by (row, column).  It is
+numpy arrays of row, column and count, in posting order.  It is
 degree-normalized, embedded through the leading non-trivial singular pairs
 (dense LAPACK for matrices of up to 2^20 entries, ARPACK beyond; scipy is
 loaded only then), and partitioned jointly with k-means.  Word and document
@@ -36,7 +36,7 @@ _DENSE_ENTRIES = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class Counts:
-    """The positive entries of a terms x documents count matrix, sorted by (row, col)."""
+    """The positive entries of a terms x documents count matrix, document by document."""
 
     row: np.ndarray
     col: np.ndarray
@@ -63,26 +63,9 @@ class TermDocMatrix:
 @dataclass(frozen=True)
 class CoClustering:
     k: int
-    word_clusters: tuple  # tuple of frozensets over term labels
-    doc_clusters: tuple
-    word_labels: np.ndarray  # cluster of each matrix row
-    doc_labels: np.ndarray  # cluster of each matrix column
+    word_labels: np.ndarray  # cluster in 0..k-1 of each matrix row
+    doc_labels: np.ndarray  # cluster in 0..k-1 of each matrix column
     dropped_groups: tuple = ()
-
-    @classmethod
-    def from_labels(cls, m: TermDocMatrix, k: int, word_labels, doc_labels,
-                    dropped_groups=()) -> CoClustering:
-        """The clustering with these labels in 0..k-1; builds its frozensets."""
-        def members(labels, names):
-            return tuple(frozenset(compress(names, (labels == g).tolist())) for g in range(k))
-
-        return cls(k, members(word_labels, m.terms), members(doc_labels, m.docs),
-                   word_labels, doc_labels, tuple(dropped_groups))
-
-
-def _counts(row, col, count, n_cols: int) -> Counts:
-    order = np.argsort(row * n_cols + col)  # the (row, col) pairs are distinct
-    return Counts(row[order], col[order], count[order])
 
 
 def build_matrix(vocab: Vocabulary, postings: Postings) -> TermDocMatrix:
@@ -100,7 +83,7 @@ def build_matrix(vocab: Vocabulary, postings: Postings) -> TermDocMatrix:
     keep_cols = np.flatnonzero(col_deg > 0)
     kept_row, kept_col = np.cumsum(row_deg > 0)[row] - 1, np.cumsum(col_deg > 0)[col] - 1
     return TermDocMatrix(
-        A=_counts(kept_row, kept_col, count, len(keep_cols)),
+        A=Counts(kept_row, kept_col, count),
         terms=tuple(vocab.terms[i] for i in keep_rows),
         docs=tuple(postings.docs[j] for j in keep_cols),
         row_degrees=row_deg[keep_rows],
@@ -127,8 +110,8 @@ def normalize_matrix(m: TermDocMatrix):
         return An
     import scipy.sparse as sp  # deferred: about 0.2 s a process, needed only here
 
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(A.row, minlength=w))))
-    return sp.csr_matrix((values, A.col, indptr), shape=(w, d))
+    # scipy sorts the entries by row; within a row they already ascend by column
+    return sp.csr_matrix((values, (A.row, A.col)), shape=(w, d))
 
 
 def _fix_sign(u: np.ndarray, v: np.ndarray):
@@ -206,8 +189,6 @@ def kmeans_partition(Z: np.ndarray, k: int, seed: int) -> np.ndarray:
     n = len(Z)
     if k < 1 or n < k:
         raise BadClusterCount(f"cannot split {n} vertices into {k} groups")
-    if k == 1:
-        return np.zeros(n, dtype=int)
     rng = np.random.default_rng(seed)
     centers = [Z[int(rng.integers(n))]]
     for _ in range(1, k):
@@ -265,7 +246,7 @@ def cocluster(m: TermDocMatrix, k: int, seed: int, refine_passes: int = 1) -> Co
         raise SemindexError(f"refine_passes must be >= 1, got {refine_passes}")
     w, d = m.shape
     if k == 1:
-        return CoClustering.from_labels(m, 1, np.zeros(w, int), np.zeros(d, int))
+        return CoClustering(1, np.zeros(w, int), np.zeros(d, int))
     An = normalize_matrix(m)
     Z = spectral_embed(An, m.row_degrees, m.col_degrees, k)
     # k-means document groups left empty are dropped; the rest keep their order
@@ -273,8 +254,8 @@ def cocluster(m: TermDocMatrix, k: int, seed: int, refine_passes: int = 1) -> Co
     for _ in range(refine_passes):
         word_labels = assign_word_clusters(m, doc_labels, len(groups))
         doc_labels = assign_doc_clusters(m, word_labels, len(groups))
-    dropped = np.setdiff1d(np.arange(k), groups).tolist()
-    return CoClustering.from_labels(m, len(groups), word_labels, doc_labels, dropped)
+    dropped = tuple(np.setdiff1d(np.arange(k), groups).tolist())
+    return CoClustering(len(groups), word_labels, doc_labels, dropped)
 
 
 def write_cluster_report(cc: CoClustering, m: TermDocMatrix, path) -> None:
@@ -283,15 +264,15 @@ def write_cluster_report(cc: CoClustering, m: TermDocMatrix, path) -> None:
         "clusters": [
             {
                 "id": i + 1,
-                "words": sorted(cc.word_clusters[i]),
-                "docs": sorted(cc.doc_clusters[i]),
+                "words": sorted(compress(m.terms, (cc.word_labels == i).tolist())),
+                "docs": sorted(compress(m.docs, (cc.doc_labels == i).tolist())),
             }
             for i in range(cc.k)
         ],
         "dropped_groups": list(cc.dropped_groups),
     }
     if cc.k == 2:
-        sides = [len(cc.word_clusters[g]) + len(cc.doc_clusters[g]) for g in (0, 1)]
+        sides = np.bincount(np.concatenate((cc.word_labels, cc.doc_labels)), minlength=2).tolist()
         if all(sides):
             mass = label_mass(m, cc.word_labels, cc.doc_labels, (2, 2))
             cut = float(mass[0, 1] + mass[1, 0])

@@ -4,8 +4,8 @@ The KB is a single JSON file.  Synonym classes act as hyperedges grouping
 surface forms under one canonical; quasi-synonym links connect classes and
 are symmetric regardless of declaration direction: `load_kb` closes them
 once, so `quasi_synonyms` is a lookup.  A loaded KB keeps only the maps the
-engine reads: each surface's canonical and category, and each canonical's
-links.
+engine reads: each surface's canonical, each canonical's links, the stop
+words and the abbreviations; categories are only checked.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ _TOP_LEVEL_TYPES = {"classes": list, "categories": list, "stop_words": list, "ab
 @dataclass(frozen=True)
 class KnowledgeBase:
     canonical: dict  # surface -> the canonical of its class
-    category: dict  # surface -> category
     quasi_links: dict  # canonical -> frozenset of canonicals, closed in both directions
     stop_words: frozenset
     abbreviations: dict  # surface -> expansion
@@ -147,12 +146,12 @@ def load_kb(path) -> KnowledgeBase:
         abbreviations[key.lower()] = value.lower()
 
     canonical = {surface: classes[cid][0] for surface, cid in surface_to_class.items()}
-    return KnowledgeBase(canonical, categories, quasi_links, stop_words, abbreviations)
+    return KnowledgeBase(canonical, quasi_links, stop_words, abbreviations)
 
 
-def quasi_synonyms(kb: KnowledgeBase, canonical: str) -> set:
+def quasi_synonyms(kb: KnowledgeBase, canonical: str) -> frozenset:
     """Canonicals one quasi-synonym hop away, counting links in either direction."""
     links = kb.quasi_links.get(canonical)
     if links is None:
         raise UnknownTerm(f"{canonical!r} is not the canonical of any class")
-    return set(links)
+    return links

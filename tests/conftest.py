@@ -69,6 +69,11 @@ def _parts(labels, names, k):
     return tuple(frozenset(x for x, g in zip(names, labels) if g == c) for c in range(k))
 
 
+def cluster_sets(m, cc):
+    """The word and the document clusters of a CoClustering, each a tuple of label sets."""
+    return _parts(cc.word_labels, m.terms, cc.k), _parts(cc.doc_labels, m.docs, cc.k)
+
+
 def assign_words(m, doc_parts):
     """assign_word_clusters with the clusters given and returned as sets of labels."""
     k = len(doc_parts)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from semindex.cocluster import TermDocMatrix, _counts
+from semindex.cocluster import Counts, TermDocMatrix
 from semindex.errors import EmptyMatrix
 from semindex.graphs import TermGraph
 
@@ -31,7 +31,7 @@ def matrix_from_counts(counts: dict, terms, docs) -> TermDocMatrix:
     ti = {t: i for i, t in enumerate(terms)}
     dj = {d: j for j, d in enumerate(docs)}
     cells = np.array([(ti[t], dj[d], c) for (t, d), c in counts.items() if c], float).reshape(-1, 3)
-    A = _counts(cells[:, 0].astype(np.intp), cells[:, 1].astype(np.intp), cells[:, 2], len(docs))
+    A = Counts(cells[:, 0].astype(np.intp), cells[:, 1].astype(np.intp), cells[:, 2])
     row_deg = np.bincount(A.row, A.count, len(terms))
     col_deg = np.bincount(A.col, A.count, len(docs))
     if (row_deg == 0).any() or (col_deg == 0).any():
@@ -94,7 +94,7 @@ def save_kb(kb, path) -> None:
             {"id": c, "canonical": c, "members": members[c], "quasi": sorted(kb.quasi_links[c])}
             for c in sorted(members)
         ],
-        "categories": [{"surface": s, "category": kb.category[s]} for s in sorted(kb.category)],
+        "categories": [{"surface": s, "category": "noun"} for s in sorted(kb.canonical)],
         "stop_words": sorted(kb.stop_words),
         "abbreviations": {k: kb.abbreviations[k] for k in sorted(kb.abbreviations)},
     }

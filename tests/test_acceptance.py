@@ -16,7 +16,7 @@ from semindex.kb import load_kb
 from semindex.lexicon import stem
 from semindex.metrics import load_gold, precision_recall
 
-from conftest import MINI, REPO, assign_docs, assign_words, dense, mstar
+from conftest import MINI, REPO, assign_docs, assign_words, cluster_sets, dense, mstar
 from oracles import brute_force_min_ratio_cut, graph_from_matrix, matrix_from_counts, parse_pajek, ratio_cut
 
 CONFIG = str(MINI / "config.ini")
@@ -102,8 +102,9 @@ def test_criterion_2_planted_block_recovery():
         for seed in range(20):
             clus = cocluster(m, 3, seed=seed)
             assert clus.k == 3
-            assert _recovery_rate(clus.word_clusters, terms, planted) >= 0.95
-            assert _recovery_rate(clus.doc_clusters, docs, planted) >= 0.95
+            words, doc_sets = cluster_sets(m, clus)
+            assert _recovery_rate(words, terms, planted) >= 0.95
+            assert _recovery_rate(doc_sets, docs, planted) >= 0.95
         assert time.perf_counter() - start < 5.0
 
 
@@ -132,21 +133,14 @@ def test_criterion_3_oracle_equivalence():
             assert best_value == 0.0
             clus = cocluster(m, 2, seed=trial)
             assert clus.k == 2
-            v1 = set(clus.word_clusters[0]) | set(clus.doc_clusters[0])
-            v2 = set(clus.word_clusters[1]) | set(clus.doc_clusters[1])
-            assert ratio_cut(g, v1, v2) == best_value
+            (w1, w2), (d1, d2) = cluster_sets(m, clus)
+            assert ratio_cut(g, w1 | d1, w2 | d2) == best_value
         # worked example: cluster sets equal the oracle's zero-cut partition
         m = mstar()
         clus = cocluster(m, 2, seed=0)
         v1, value = brute_force_min_ratio_cut(graph_from_matrix(m))
         assert value == 0.0
-        sides = {
-            frozenset(w | d)
-            for w, d in zip(
-                (set(clus.word_clusters[0]), set(clus.word_clusters[1])),
-                (set(clus.doc_clusters[0]), set(clus.doc_clusters[1])),
-            )
-        }
+        sides = {w | d for w, d in zip(*cluster_sets(m, clus))}
         assert frozenset(v1) in sides
 
 

@@ -5,9 +5,10 @@ import os
 import shutil
 import subprocess
 import sys
+from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semindex import agents, cli, cocluster
@@ -190,6 +191,15 @@ def test_usage_error_exit_code():
     assert excinfo.value.code == 2
 
 
+def test_usage_error_ends_with_one_escaped_line(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("cluster", "bad\nflag")
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: semindex")
+    assert err[-1] == "semindex: error: unrecognized arguments: bad\\nflag"
+
+
 def test_eval_prints_metrics(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("index", "--config", CONFIG, "--out_dir", str(out)) == 0
@@ -319,6 +329,55 @@ def test_any_path_option_is_one_line_error(tmp_path_factory, case, text):
         os.chdir(cwd)
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+SUBCOMMANDS = ["index", "cluster", "export", "eval", "pipeline"]
+# the options that name no file; the path options are pinned after every drawn list
+VALUE_FLAGS = [f"--{name}" for name in Config.__dataclass_fields__
+               if not name.endswith(("_path", "_dir"))] + ["--term"]
+odd_texts = st.text() | st.sampled_from(["", "a\nb", "a\0b", "\x1b[31m", "a\u2028b", "-1", "nan"])
+FIRST = st.sampled_from([*SUBCOMMANDS * 3, "", "a\nb", "--bogus", "--help"])  # mostly a subcommand
+flag_values = st.tuples(st.sampled_from(VALUE_FLAGS), odd_texts)
+argv_parts = (
+    st.sampled_from([*SUBCOMMANDS, *VALUE_FLAGS, "--bogus", "-x", "--", "-", "--help"]).map(lambda a: [a])
+    | flag_values.map(list)  # --k value
+    | flag_values.map(lambda fv: ["=".join(fv)])  # --k=value
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=FIRST, parts=st.lists(argv_parts, max_size=4))
+@example(first="cluster", parts=[["bad\nflag"]])
+@example(first="export", parts=[["--k", "abc"]])
+def test_any_argv_runs_or_fails_with_its_exit_code_and_form(tmp_path_factory, first, parts):
+    items = [first, *chain.from_iterable(parts)]
+    empty = tmp_path_factory.mktemp("empty")
+    # no example reads a real input or writes an output: the last value of an option wins
+    argv = [*items, f"--out_dir={empty}", f"--corpus_dir={empty}",
+            f"--kb_path={empty / 'missing.json'}", "--gold_path=", "--config="]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(empty)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    finally:
+        os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    if status == 1:  # a domain error, a bad option value included
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    elif status == 2:  # a usage error: argparse's usage, then one error line
+        assert lines[0].startswith("usage: semindex")
+        assert [i for i, line in enumerate(lines) if ": error: " in line] == [len(lines) - 1]
+        assert lines[-1].startswith("semindex") and ": error: " in lines[-1]
+    else:
+        assert status == 0 and not lines  # --help, or an abbreviation of it
+        assert any(item.startswith(("--h", "-h")) for item in items)
+        assert out.getvalue().startswith("usage: semindex")
+    assert not any(empty.iterdir())
 
 
 # output file -> the command line that writes it

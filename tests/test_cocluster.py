@@ -17,7 +17,7 @@ from semindex.cocluster import (
 from semindex.errors import BadClusterCount, EmptyMatrix, SemindexError
 from semindex.lexicon import MinCount, build_vocabulary
 
-from conftest import assign_docs, assign_words, dense, make_doc, mstar
+from conftest import assign_docs, assign_words, cluster_sets, dense, make_doc, mstar
 from oracles import (
     BipartiteGraph,
     brute_force_min_ratio_cut,
@@ -67,6 +67,20 @@ def test_normalize_matrix_entries():
             expected = dense(m)[i, j] / np.sqrt(m.row_degrees[i] * m.col_degrees[j])
             assert An[i, j] == pytest.approx(expected, abs=1e-12)
     assert ((An >= 0) & (An <= 1)).all()
+
+
+def test_normalize_matrix_above_dense_cutoff_is_canonical_csr():
+    terms, docs = 1025, 1030  # each document holds three terms, out of row order
+    postings = index_postings([
+        make_doc(f"d{j}", {f"t{(a * j + b) % terms}": 1 for a, b in ((13, 5), (1, 0), (7, 3))})
+        for j in range(docs)
+    ])
+    m = build_matrix(build_vocabulary(postings, MinCount(1)), postings)
+    assert m.shape == (terms, docs) and terms * docs > cc._DENSE_ENTRIES
+    An = normalize_matrix(m)
+    assert An.format == "csr" and An.has_canonical_format
+    d1, d2 = 1 / np.sqrt(m.row_degrees), 1 / np.sqrt(m.col_degrees)
+    assert np.array_equal(An.toarray(), dense(m) * d1[:, None] * d2)
 
 
 def test_normalize_single_cell_is_one():
@@ -174,9 +188,9 @@ def test_singular_pairs_disconnected_graph():
     _assert_singular_pairs(An, sigmas, U, V)
     first = cocluster(m, 3, seed=0)
     second = cocluster(m, 3, seed=0)
-    assert (first.word_labels == second.word_labels).all()
-    assert (first.doc_labels == second.doc_labels).all()
-    assert set(first.doc_clusters) == {
+    assert np.array_equal(first.word_labels, second.word_labels)
+    assert np.array_equal(first.doc_labels, second.doc_labels)
+    assert set(cluster_sets(m, first)[1]) == {
         frozenset(d for d in docs if d.startswith(f"d{b}_")) for b in range(3)
     }
 
@@ -338,16 +352,16 @@ def test_brute_force_too_large():
 
 
 def test_cocluster_recovers_blocks():
-    clus = cocluster(mstar(), 2, seed=7)
-    assert set(clus.word_clusters) == {frozenset({"w1", "w2"}), frozenset({"w3", "w4"})}
-    assert set(clus.doc_clusters) == {frozenset({"d1"}), frozenset({"d2", "d3"})}
+    m = mstar()
+    words, docs = cluster_sets(m, cocluster(m, 2, seed=7))
+    assert set(words) == {frozenset({"w1", "w2"}), frozenset({"w3", "w4"})}
+    assert set(docs) == {frozenset({"d1"}), frozenset({"d2", "d3"})}
 
 
 def test_cocluster_k1_degenerate():
     m = matrix_from_counts({("w1", "d1"): 1, ("w2", "d1"): 2}, ["w1", "w2"], ["d1"])
-    clus = cocluster(m, 1, seed=0)
-    assert clus.word_clusters == (frozenset({"w1", "w2"}),)
-    assert clus.doc_clusters == (frozenset({"d1"}),)
+    assert cluster_sets(m, cocluster(m, 1, seed=0)) == (
+        (frozenset({"w1", "w2"}),), (frozenset({"d1"}),))
 
 
 @pytest.mark.parametrize("k, passes", [(2, 0), (2, -3), (1, 0)])
@@ -359,8 +373,8 @@ def test_cocluster_rejects_refine_passes_below_one(k, passes):
 def test_cocluster_deterministic():
     a = cocluster(mstar(), 2, seed=3)
     b = cocluster(mstar(), 2, seed=3)
-    assert a.word_clusters == b.word_clusters
-    assert a.doc_clusters == b.doc_clusters
+    assert np.array_equal(a.word_labels, b.word_labels)
+    assert np.array_equal(a.doc_labels, b.doc_labels)
     m = mstar()
     An = normalize_matrix(m)
     first = spectral_embed(An, m.row_degrees, m.col_degrees, 2)
@@ -391,11 +405,11 @@ def test_report_ratio_cut_matches_graph_formula(tmp_path):
             {(terms[i], docs[j]): dense[i, j] for i, j in zip(*np.nonzero(dense))}, terms, docs
         )
         word_side, doc_side = rng.integers(2, size=w), rng.integers(2, size=d)
-        clustering = cc.CoClustering.from_labels(m, 2, word_side, doc_side)
+        clustering = cc.CoClustering(2, word_side, doc_side)
         cc.write_cluster_report(clustering, m, path)
         report = json.loads(path.read_text(encoding="utf-8"))
-        v1 = clustering.word_clusters[0] | clustering.doc_clusters[0]
-        v2 = clustering.word_clusters[1] | clustering.doc_clusters[1]
+        (w1, w2), (d1, d2) = cluster_sets(m, clustering)
+        v1, v2 = w1 | d1, w2 | d2
         if v1 and v2:
             assert report["ratio_cut_2way"] == ratio_cut(graph_from_matrix(m), v1, v2)
             reported += 1

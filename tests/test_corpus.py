@@ -12,7 +12,6 @@ from semindex.kb import KnowledgeBase
 def kb():
     return KnowledgeBase(
         canonical={},
-        category={},
         quasi_links={},
         stop_words=frozenset({"the"}),
         abbreviations={"intl.": "international"},

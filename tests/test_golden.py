@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from semindex import cli
+from semindex import agents, cli, cocluster, kb, lexicon
 
 from conftest import MINI, REPO
 
@@ -127,6 +127,17 @@ def test_traced_functions_exist_with_the_arguments_read():
                                    ("graphs", "export_pajek", 1)]:
         function = getattr(importlib.import_module(f"semindex.{module}"), name)
         assert list(inspect.signature(function).parameters)[position] == "path", name
+    # and count these parts of the results, called where the tracer wraps them
+    mini_kb = kb.load_kb(MINI / "kb.json")
+    corpus = cli.ingest(sorted((MINI / "docs").glob("*.txt")))
+    assert len(agents.tokenize(mini_kb, corpus[0].text)) > 0
+    indexed = agents.run_pipeline(mini_kb, corpus, 0.2, 2010)[0]
+    assert {doc.routing.value for doc in indexed} == set(tracing._ROUTING_COUNTS)
+    postings = cli.index_postings(indexed)
+    vocab = lexicon.build_vocabulary(postings, lexicon.MinCount(2))
+    assert len(vocab) == len(vocab.terms) > 0
+    matrix = cocluster.build_matrix(vocab, postings)
+    assert type(matrix.A.nnz) is int and matrix.A.nnz == len(matrix.A.count) > 0
 
 
 if __name__ == "__main__":

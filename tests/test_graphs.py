@@ -5,7 +5,7 @@ from semindex.cocluster import CoClustering
 from semindex.errors import UnknownTerm
 from semindex.graphs import TermGraph, cluster_graph, ego_network, export_pajek
 
-from conftest import dense, mstar
+from conftest import cluster_sets, dense, mstar
 from oracles import matrix_from_counts, parse_pajek
 
 
@@ -77,14 +77,15 @@ def dense_cluster_graph(m, cc):
     A = dense(m)
     term_pos = {t: i for i, t in enumerate(m.terms)}
     doc_pos = {d: j for j, d in enumerate(m.docs)}
+    words, docs = cluster_sets(m, cc)
     labels = tuple(f"cluster-{i + 1}" for i in range(cc.k))
     edges = []
     for a in range(cc.k):
         for b in range(a + 1, cc.k):
             mass = 0.0
             for x, y in ((a, b), (b, a)):
-                rows = [term_pos[t] for t in cc.word_clusters[x]]
-                cols = [doc_pos[d] for d in cc.doc_clusters[y]]
+                rows = [term_pos[t] for t in words[x]]
+                cols = [doc_pos[d] for d in docs[y]]
                 mass += float(A[np.ix_(rows, cols)].sum())
             if mass > 0:
                 edges.append((a, b, mass))
@@ -112,7 +113,7 @@ def test_graph_builders_match_dense_formulas():
         k = int(rng.integers(1, 5))
         word_labels = rng.integers(k, size=len(m.terms))
         doc_labels = rng.integers(k, size=len(m.docs))
-        cc = CoClustering.from_labels(m, k, word_labels, doc_labels)
+        cc = CoClustering(k, word_labels, doc_labels)
         assert cluster_graph(m, cc) == dense_cluster_graph(m, cc)
 
 

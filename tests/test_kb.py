@@ -34,7 +34,7 @@ def test_load_single_class(tmp_path):
 
 def test_load_empty_kb(tmp_path):
     kb = make_kb(tmp_path)
-    assert kb.canonical == kb.category == kb.quasi_links == {}
+    assert kb.canonical == kb.quasi_links == {}
     assert kb.stop_words == frozenset()
 
 
@@ -172,8 +172,7 @@ def test_quasi_synonyms_match_full_scan(tmp_path_factory, data):
         linked = quasi_synonyms(kb, canonical)
         assert linked == _full_scan_quasi_synonyms(data, canonical)
         assert canonical not in linked
-        linked.add("scratch")  # a fresh set each call
-        assert "scratch" not in quasi_synonyms(kb, canonical)
+        assert linked is kb.quasi_links[canonical]  # the stored frozenset, never copied
     with pytest.raises(UnknownTerm):
         quasi_synonyms(kb, "v0")  # a member, not a canonical
 
@@ -209,7 +208,6 @@ def test_save_load_round_trip(tmp_path, mini_kb):
 
 
 def test_entity_surfaces_get_singleton_classes(mini_kb):
-    assert mini_kb.category["america"] == "entity-place"
     assert mini_kb.canonical.get("america") == "america"
 
 
