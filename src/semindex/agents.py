@@ -60,25 +60,21 @@ def reading_agent(kb: KnowledgeBase, words) -> list:
 
 
 def standardizing_agent(kb: KnowledgeBase, words) -> list:
-    """(term, status) of each candidate: its canonical, stemming on a failed first lookup.
+    """(term, status) of each candidate: the canonical of the surface, else of its stem.
 
-    Stop words and single-character words are dropped outright; candidates
-    that fail both lookups come back as their stem, flagged MorphError.
+    Stop words and single-character words are dropped outright; a stem the
+    KB lacks comes back as itself, flagged MorphError.
     """
     out = []
     for surface in words:
         if surface in kb.stop_words or len(surface) <= 1:
             continue
-        canonical = kb.canonical.get(surface)
-        if canonical is not None:
-            out.append((canonical, TermStatus.ACCEPTED))
-            continue
-        stemmed = stem(surface)
-        canonical = kb.canonical.get(stemmed)
-        if canonical is not None:
-            out.append((canonical, TermStatus.ACCEPTED))
+        term = surface if surface in kb.canonical else stem(surface)
+        canonical = kb.canonical.get(term)
+        if canonical is None:
+            out.append((term, TermStatus.MORPH_ERROR))
         else:
-            out.append((stemmed, TermStatus.MORPH_ERROR))
+            out.append((canonical, TermStatus.ACCEPTED))
     return out
 
 
@@ -86,32 +82,29 @@ def proposition_agent(kb: KnowledgeBase, term_map: dict) -> dict:
     """Accept the MorphError terms one quasi-synonym link from an accepted term; returns a new map.
 
     The links are symmetric, so only the MorphError terms' own links are
-    looked up.  On standardizing's output the rescue never fires: only
-    canonicals are linked, every canonical normalizes to itself, and a
-    MorphError term is one whose surface and stem both failed that lookup,
-    so it is never a canonical.  The stage is kept as the fifth of the paper's agents.
+    looked up, in the map itself.  On standardizing's output no MorphError
+    term is even linked: only canonicals are, every canonical normalizes to
+    itself, and a MorphError term is a stem that failed that lookup, so it
+    is never a canonical.  The stage is kept as the fifth of the paper's agents.
     """
-    accepted = {term for term, (_, status) in term_map.items() if status is TermStatus.ACCEPTED}
     return term_map | {
         term: (n, TermStatus.ACCEPTED)
         for term, (n, status) in term_map.items()
         if status is TermStatus.MORPH_ERROR
         and term in kb.quasi_links
-        and not accepted.isdisjoint(quasi_synonyms(kb, term))
+        and any(term_map.get(q, (0, None))[1] is TermStatus.ACCEPTED
+                for q in quasi_synonyms(kb, term))
     }
 
 
 def _cosine(a: dict, b: dict) -> float:
-    if not a or not b:
-        return 0.0
     # dict lookups give the expected-constant-time hashed term index
     small, large = (a, b) if len(a) <= len(b) else (b, a)
     dot = sum(n * large.get(t, 0) for t, n in small.items())
     na = math.sqrt(sum(n * n for n in a.values()))
     nb = math.sqrt(sum(n * n for n in b.values()))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return dot / (na * nb)
+    # the counts are positive integers, so a norm is 0 exactly when its map is empty
+    return dot / (na * nb) if na and nb else 0.0
 
 
 def relevance_agent(last_terms, accepted: dict, tau: float) -> bool:
@@ -163,10 +156,6 @@ def process_document(kb: KnowledgeBase, doc, words: dict) -> dict:
     return proposition_agent(kb, term_map)
 
 
-def _accepted_counts(term_map: dict) -> dict:
-    return {t: n for t, (n, s) in term_map.items() if s is TermStatus.ACCEPTED}
-
-
 def run_pipeline(kb: KnowledgeBase, corpus, tau: float, reference_year: int):
     """Route every document; return (indexed documents, blackboard entries), in corpus order.
 
@@ -180,15 +169,15 @@ def run_pipeline(kb: KnowledgeBase, corpus, tau: float, reference_year: int):
     documents, entries = [], []
     for doc in corpus:
         term_map = process_document(kb, doc, words)
+        accepted = {t: n for t, (n, s) in term_map.items() if s is TermStatus.ACCEPTED}
         if reference_year - doc.year > OBSOLESCENCE_YEARS:
             routing = Routing.DISCARD
         elif query_agent(term_map, known):
-            routing, accepted = Routing.INDEX, _accepted_counts(term_map)
+            routing = Routing.INDEX
+        elif relevance_agent(entries[-1].terms if entries else None, accepted, tau):
+            routing = Routing.STORE_ONLY
         else:
-            accepted = _accepted_counts(term_map)
-            last = entries[-1].terms if entries else None
-            relevant = relevance_agent(last, accepted, tau)
-            routing = Routing.STORE_ONLY if relevant else Routing.DISCARD
+            routing = Routing.DISCARD
         documents.append(IndexedDocument(doc.id, term_map, routing))
         if routing is not Routing.DISCARD:
             entries.append(BlackboardEntry(doc.id, routing, doc.year, accepted))

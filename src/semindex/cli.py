@@ -67,6 +67,7 @@ def _apply(config: Config, values: dict) -> Config:
         raise SemindexError(f"seed must be >= 0, got {config.seed}")
     if config.level.lower() != "lexical":
         raise SemindexError(f"level {config.level!r} is not implemented; only lexical is")
+    parse_threshold(config.threshold_mode)  # a bad mode fails before any command runs
     return config
 
 

@@ -12,7 +12,7 @@ import string
 from dataclasses import dataclass
 
 from .errors import DuplicateId, MissingMetadata, read_text
-from .kb import KnowledgeBase
+from .kb import NOT_XML_CHAR, KnowledgeBase
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,8 @@ def ingest(paths) -> list:
         if year <= 0:
             raise MissingMetadata(f"{path}: year must be positive")
         doc_id = fields["id"]
+        if NOT_XML_CHAR.search(doc_id):
+            raise MissingMetadata(f"{path}: id {doc_id!r} holds a character XML cannot")
         if doc_id in seen:
             raise DuplicateId(f"{path}: duplicate document id {doc_id!r}")
         seen.add(doc_id)
@@ -56,22 +58,21 @@ def _is_mixed_alnum(word: str) -> bool:
     return any(c.isalpha() for c in word) and any(c.isdigit() for c in word)
 
 
-def _clean_word(kb: KnowledgeBase, word: str, out: list, seen: frozenset) -> None:
-    # the word, else its edge-stripped form, expands as an abbreviation before
-    # the mixed-alnum filter; the seen set guards against expansion cycles
-    stripped = word.strip(string.punctuation)
-    for form in (word, stripped):
-        if form in kb.abbreviations and form not in seen:
-            for part in kb.abbreviations[form].split():
-                _clean_word(kb, part, out, seen | {form})
-            return
-    if stripped and not _is_mixed_alnum(stripped):
-        out.append(stripped)
-
-
 def tokenize(kb: KnowledgeBase, text: str) -> list:
     """The cleaned words of `text`, in order."""
     words = []
     for raw in text.split():
-        _clean_word(kb, raw.lower(), words, frozenset())
+        # a word, else its edge-stripped form, expands as an abbreviation before the
+        # mixed-alnum filter; its parts go on the stack in reverse, each with the
+        # abbreviations it came from, none of which expands again: that cuts cycles
+        stack = [(raw.lower(), frozenset())]
+        while stack:
+            word, seen = stack.pop()
+            stripped = word.strip(string.punctuation)
+            form = word if word in kb.abbreviations and word not in seen else stripped
+            if form in kb.abbreviations and form not in seen:
+                seen = seen | {form}
+                stack += [(part, seen) for part in reversed(kb.abbreviations[form].split())]
+            elif stripped and not _is_mixed_alnum(stripped):
+                words.append(stripped)
     return words

@@ -76,7 +76,6 @@ class ZeroDegree(SemindexError):
 class NoConvergence(SemindexError):
     def __init__(self, residual: float):
         super().__init__(f"singular pairs not resolved, attained residual {residual:.3e}")
-        self.residual = residual
 
 
 class BadClusterCount(SemindexError):

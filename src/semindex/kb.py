@@ -11,6 +11,7 @@ words and the abbreviations; categories are only checked.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .errors import InconsistentKb, MalformedKb, UnknownTerm, read_text
@@ -32,6 +33,9 @@ CATEGORIES = frozenset(
     }
 )
 
+# outside XML 1.0's Char production: the blackboard cannot hold these
+NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
 _TOP_LEVEL_TYPES = {"classes": list, "categories": list, "stop_words": list, "abbreviations": dict}
 
 
@@ -50,6 +54,8 @@ def _check_word(word, what: str) -> str:
         raise InconsistentKb(f"{what} {word!r} is not lowercase")
     if any(ch.isspace() for ch in word):
         raise InconsistentKb(f"{what} {word!r} contains whitespace")
+    if NOT_XML_CHAR.search(word):
+        raise InconsistentKb(f"{what} {word!r} holds a character XML cannot")
     return word
 
 

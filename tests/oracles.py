@@ -1,13 +1,15 @@
-"""Test-only code: the brute-force ratio-cut oracle, a matrix builder by label, a KB writer
-and a Pajek reader."""
+"""Test-only code: the brute-force ratio-cut oracle, a matrix builder by label, a KB writer,
+a Pajek reader, and reference versions of the tokenizer and the proposition agent."""
 
 import json
 import re
+import string
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from semindex.agents import TermStatus
 from semindex.cocluster import Counts, TermDocMatrix
 from semindex.errors import EmptyMatrix
 from semindex.graphs import TermGraph
@@ -126,3 +128,37 @@ def parse_pajek(path) -> TermGraph:
             raise ValueError(f"edge {line!r} names a vertex outside 1..{count}")
         edges.append((u, v, w))
     return TermGraph(tuple(labels), tuple(edges))
+
+
+def recursive_tokenize(kb, text: str) -> list:
+    """tokenize written as a recursion over each expansion; Python's recursion
+    limit bounds the chain depth it can take."""
+    out = []
+
+    def clean(word, seen):
+        stripped = word.strip(string.punctuation)
+        for form in (word, stripped):
+            if form in kb.abbreviations and form not in seen:
+                for part in kb.abbreviations[form].split():
+                    clean(part, seen | {form})
+                return
+        if stripped and not (any(c.isalpha() for c in stripped)
+                             and any(c.isdigit() for c in stripped)):
+            out.append(stripped)
+
+    for raw in text.split():
+        clean(raw.lower(), frozenset())
+    return out
+
+
+def set_proposition(kb, term_map: dict) -> dict:
+    """proposition_agent through the set of the map's Accepted terms: a MorphError
+    term is rescued when that set meets its quasi-synonym links."""
+    accepted = {term for term, (_, status) in term_map.items() if status is TermStatus.ACCEPTED}
+    return term_map | {
+        term: (n, TermStatus.ACCEPTED)
+        for term, (n, status) in term_map.items()
+        if status is TermStatus.MORPH_ERROR
+        and term in kb.quasi_links
+        and not accepted.isdisjoint(kb.quasi_links[term])
+    }

@@ -26,6 +26,7 @@ from semindex.corpus import Document, tokenize
 from semindex.kb import load_kb, quasi_synonyms
 
 from conftest import REPO, kb_file, make_kb
+from oracles import recursive_tokenize, set_proposition
 
 I = TermStatus.INITIAL
 T = TermStatus.ACCEPTED
@@ -367,3 +368,43 @@ def test_proposition_agent_never_rescues_standardized_terms(tmp_path_factory, ca
     kb = load_kb(kb_file(tmp_path_factory.mktemp("kb"), data))
     term_map = merged(standardizing_agent(kb, candidates))
     assert proposition_agent(kb, term_map) == term_map
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=word_kbs(), text=texts)
+@example(
+    data={"abbreviations": {"ab": "ba dock", "ba": "ab", "(u.s.)": "intl.", "intl.": "intl. ab",
+                            "intl": "hbr, x1"}},
+    text="AB (ba) (U.S.) u.s. Intl. intl hbr.",
+)  # "intl." reappears inside its own expansion, where its stripped form "intl" expands
+def test_tokenize_matches_recursive_reference(tmp_path_factory, data, text):
+    kb = load_kb(kb_file(tmp_path_factory.mktemp("kb"), data))
+    assert tokenize(kb, text) == recursive_tokenize(kb, text)
+
+
+term_maps = st.dictionaries(
+    st.sampled_from(CLASS_WORDS + OTHER_WORDS),
+    st.tuples(st.integers(1, 3), st.sampled_from([T, J])),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=word_kbs(), term_map=term_maps)
+@example(  # "dock" is rescued through "wharf"; "port" links only to a MorphError term
+    data={
+        "classes": [
+            {"id": "cd", "canonical": "dock", "members": ["dock"], "quasi": ["cw"]},
+            {"id": "cw", "canonical": "wharf", "members": ["wharf", "quay"], "quasi": []},
+            {"id": "cp", "canonical": "port", "members": ["port"], "quasi": ["cs"]},
+            {"id": "cs", "canonical": "sea", "members": ["sea"], "quasi": []},
+        ],
+        "categories": [{"surface": w, "category": "noun"}
+                       for w in ("dock", "wharf", "quay", "port", "sea")],
+    },
+    term_map={"dock": (2, J), "quay": (1, J), "wharf": (1, T), "port": (1, J), "sea": (3, J)},
+)
+def test_proposition_agent_matches_set_formula(tmp_path_factory, data, term_map):
+    kb = load_kb(kb_file(tmp_path_factory.mktemp("kb"), data))
+    proposed = proposition_agent(kb, term_map)
+    assert list(proposed.items()) == list(set_proposition(kb, term_map).items())

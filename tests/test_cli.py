@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from itertools import chain
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import example, given, settings
@@ -575,3 +576,82 @@ def test_index_loads_neither_numpy_nor_scipy_and_eval_no_scipy(tmp_path):
     assert _libraries_after("index", "--config", CONFIG, "--out_dir", out) == "0 []"
     assert (tmp_path / "out" / "index_store.json").exists()
     assert _libraries_after("eval", "--config", CONFIG, "--out_dir", out) == "0 ['numpy']"
+
+
+@pytest.mark.parametrize("command", ["index", "pipeline"])
+def test_bad_threshold_mode_fails_before_any_output(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, "--config", CONFIG, "--out_dir", str(out), "--threshold_mode", "bogus"]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: errors.SemindexError: bad threshold_mode 'bogus'")
+    assert list(out.iterdir()) == []
+
+
+def _port_kb(path, **data):
+    """A KB file with one class, harbor -> port, and the given extra keys."""
+    classes = [{"id": "c1", "canonical": "port", "members": ["harbor", "port"], "quasi": []}]
+    categories = [{"surface": s, "category": "noun"} for s in ("harbor", "port")]
+    path.write_text(json.dumps({"classes": classes, "categories": categories, **data}),
+                    encoding="utf-8")
+    return path
+
+
+def _index(work, documents: list) -> int:
+    """cli.main's status for `index` of one document per (id, body) pair under `work`."""
+    docs, out = work / "docs", work / "out"
+    docs.mkdir()
+    out.mkdir()
+    for i, (doc_id, body) in enumerate(documents):
+        text = f"id: {doc_id}\ntitle: t\nyear: 2009\n\n{body}\n"
+        (docs / f"{i}.txt").write_bytes(text.encode("utf-8"))
+    return main(["index", f"--kb_path={work / 'kb.json'}", f"--corpus_dir={docs}",
+                 "--reference_year=2010", f"--out_dir={out}"])
+
+
+def test_index_expands_a_10000_deep_abbreviation_chain(tmp_path):
+    depth = 10_000
+    abbreviations = {f"w{i}": f"w{i + 1}" for i in range(depth - 1)} | {f"w{depth - 1}": "harbor"}
+    _port_kb(tmp_path / "kb.json", abbreviations=abbreviations)
+    assert _index(tmp_path, [("d1", "W0 port w9990.")]) == 0
+    store = json.loads((tmp_path / "out" / "index_store.json").read_text(encoding="utf-8"))
+    assert store["documents"]["d1"]["terms"] == {"port": {"n": 3, "status": "T"}}
+
+
+def _is_xml_char(c: str) -> bool:
+    """XML 1.0's Char production."""
+    n = ord(c)
+    return c in "\t\n\r" or 0x20 <= n <= 0xD7FF or 0xE000 <= n <= 0xFFFD or n >= 0x10000
+
+
+# an id is the rest of its header line, so it holds no line break
+id_texts = st.text(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+                   max_size=8) | st.sampled_from(["a\x01b", "\x00", "a\ufffe", "\x7f", "a&<\"'>b"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(id_texts, min_size=1, max_size=3))
+@example(ids=["a\x01b"])
+@example(ids=["tab\there", "\ud7ff\ue000\U0010ffff"])
+def test_any_document_id_gives_a_well_formed_blackboard_or_one_line_error(tmp_path_factory, ids):
+    work = tmp_path_factory.mktemp("ids")
+    _port_kb(work / "kb.json")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = _index(work, [(doc_id, "harbor port") for doc_id in ids])
+    stripped = [doc_id.strip() for doc_id in ids]
+    if status == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(("error: errors.MissingMetadata: ", "error: errors.DuplicateId: "))
+        assert list((work / "out").iterdir()) == []
+    else:
+        assert status == 0
+        # every document after the first repeats its terms, so each becomes an entry
+        board = ElementTree.parse(work / "out" / "blackboard.xml").getroot()
+        assert [doc.get("id") for doc in board] == stripped
+    bad = len(set(stripped)) < len(ids) or not all(map(_is_xml_char, "".join(stripped)))
+    assert status == (1 if bad else 0)

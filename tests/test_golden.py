@@ -62,8 +62,13 @@ def _files(out: Path) -> dict:
 def in_process(argv, cwd) -> str:
     """The standard output of `cli.main(argv)` run in `cwd`."""
     stdout = io.StringIO()
-    with contextlib.chdir(cwd), contextlib.redirect_stdout(stdout):
-        assert cli.main(argv) == 0, argv
+    old = os.getcwd()
+    os.chdir(cwd)  # contextlib.chdir is Python 3.11 or later
+    try:
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(argv) == 0, argv
+    finally:
+        os.chdir(old)
     return stdout.getvalue()
 
 

@@ -266,3 +266,17 @@ def test_any_kb_loads_or_is_one_line_kb_error(tmp_path_factory, data):
     with contextlib.redirect_stderr(err):
         status = index_with_kb(kb_file(work, data), work / "out")
     assert (status, err.getvalue()) == (0, "") or (status == 1 and is_kb_error(err.getvalue()))
+
+
+@pytest.mark.parametrize("data", [
+    {"stop_words": ["a\x01b"]},
+    {"categories": [{"surface": "port\ufffe", "category": "noun"}]},
+    {"classes": [{"id": "c", "canonical": "\x1bport", "members": ["\x1bport"], "quasi": []}],
+     "categories": [{"surface": "\x1bport", "category": "noun"}]},
+], ids=["stop-word", "surface", "canonical"])
+def test_kb_word_outside_xml_chars_is_inconsistent(tmp_path, capsys, data):
+    assert index_with_kb(kb_file(tmp_path, data), tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: errors.InconsistentKb: ") and err.count("\n") == 1
+    assert "holds a character XML cannot" in err
+    assert not (tmp_path / "out").exists()
