@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from dataclasses import dataclass, replace
-from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -122,76 +122,60 @@ _N, _STATUS = itemgetter("n"), itemgetter("status")
 
 def _index_columns(documents):
     """(doc ids, lengths, terms, counts, status codes) of the Index documents,
-    in doc_id order; the last three run over all their postings.
-
-    Every stored document is checked, whatever its routing, over the whole
-    store at once; a failed check raises without naming the document.
-    """
-    routings, docs, lengths, terms, values, other = [], [], [], [], [], []
-    for doc_id, entry in sorted(documents.items()):
-        routing, doc_terms = entry["routing"], entry["terms"]
-        routings.append(routing)
-        if routing == agents.Routing.INDEX.value:
-            docs.append(doc_id)
-            lengths.append(len(doc_terms))
-            terms += doc_terms
-            values += doc_terms.values()
-        else:
-            other += doc_terms.values()
-    counts, statuses = list(map(_N, values)), list(map(_STATUS, values))
-    if not (
-        set(map(type, chain(counts, map(_N, other)))) <= {int}
-        and STATUS_CODES.issuperset(chain(statuses, map(_STATUS, other)))
-        and ROUTING_CODES.issuperset(routings)
-    ):
-        raise ValueError("malformed index store")
-    return docs, lengths, terms, counts, statuses
-
-
-def _first_fault(documents) -> None:
-    """Raise the fault of the first malformed document in store order."""
+    in doc_id order; the last three run over all their postings.  One pass
+    checks every document, whatever its routing, as it takes its postings,
+    and raises the first fault in doc_id order, naming the document."""
     if not isinstance(documents, dict):
         raise ValueError("documents is not an object")
-    for doc_id, entry in documents.items():
+    docs, lengths, terms, counts, statuses = [], [], [], [], []
+    for doc_id, entry in sorted(documents.items()):
         if not isinstance(entry, dict):
             raise ValueError(f"document {doc_id!r} is not an object")
-        routing, terms = entry["routing"], entry["terms"]
-        if not isinstance(terms, dict):
-            raise ValueError(f"document {doc_id!r}: terms is not an object")
-        for term, value in terms.items():
-            if not isinstance(value, dict):
-                raise ValueError(f"document {doc_id!r}: term {term!r} is not an object")
-        counts = [value["n"] for value in terms.values()]
-        statuses = [value["status"] for value in terms.values()]
-        if not set(map(type, counts)) <= {int}:
-            bad = next(n for n in counts if type(n) is not int)
-            raise ValueError(f"document {doc_id!r}: n = {bad!r} is not an integer")
-        # a code of another type, unhashable ones too, is named like a bad string
-        bad = [s for s in statuses if type(s) is not str or s not in STATUS_CODES]
-        if bad:
-            raise ValueError(f"document {doc_id!r}: unknown term status {bad[0]!r}")
-        if type(routing) is not str or routing not in ROUTING_CODES:
-            raise ValueError(f"document {doc_id!r}: unknown routing {routing!r}")
+        try:
+            routing, doc_terms = entry["routing"], entry["terms"]
+            if not isinstance(doc_terms, dict):
+                raise ValueError("terms is not an object")
+            for term, value in doc_terms.items():
+                if not isinstance(value, dict):
+                    raise ValueError(f"term {term!r} is not an object")
+            ns, codes = [*map(_N, doc_terms.values())], [*map(_STATUS, doc_terms.values())]
+            bad = [n for n in ns if type(n) is not int]
+            if bad:
+                raise ValueError(f"n = {bad[0]!r} is not an integer")
+            # a code of another type, unhashable ones too, is named like a bad string
+            bad = [s for s in codes if type(s) is not str or s not in STATUS_CODES]
+            if bad:
+                raise ValueError(f"unknown term status {bad[0]!r}")
+            if type(routing) is not str or routing not in ROUTING_CODES:
+                raise ValueError(f"unknown routing {routing!r}")
+        except (KeyError, ValueError) as exc:
+            missing = "missing key " if isinstance(exc, KeyError) else ""
+            raise ValueError(f"document {doc_id!r}: {missing}{exc}") from None
+        if routing == agents.Routing.INDEX.value:
+            docs.append(doc_id)
+            lengths.append(len(ns))
+            terms += doc_terms
+            counts += ns
+            statuses += codes
+    return docs, lengths, terms, counts, statuses
 
 
 def read_index_store(path) -> lexicon.Postings:
     """The postings of the store's Index documents, in doc_id order."""
     if not os.path.exists(path):  # False too for a name the OS rejects
         raise MissingIndexStore(f"{path} not found; run `semindex index` first")
+    gc.disable()  # the parse makes many small dicts and no cycle: collecting is wasted work
     try:
         store = json.loads(read_text(path))
         if not isinstance(store, dict):
             raise ValueError("the top level is not an object")
-        documents = store["documents"]
-        try:
-            columns = _index_columns(documents)
-        except (AttributeError, KeyError, TypeError, ValueError):
-            _first_fault(documents)
-            raise
+        columns = _index_columns(store["documents"])
     except KeyError as exc:
         raise MalformedIndexStore(f"{path}: missing key {exc}") from None
-    except (AttributeError, RecursionError, TypeError, ValueError) as exc:
+    except (RecursionError, ValueError) as exc:
         raise MalformedIndexStore(f"{path}: {exc}") from None
+    finally:
+        gc.enable()
     try:
         return lexicon.Postings.build(*columns)
     except OverflowError:

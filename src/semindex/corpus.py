@@ -11,7 +11,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 
-from .errors import DuplicateId, MissingMetadata, read_text
+from .errors import DuplicateId, InconsistentKb, MissingMetadata, read_text
 from .kb import NOT_XML_CHAR, KnowledgeBase
 
 
@@ -58,6 +58,11 @@ def _is_mixed_alnum(word: str) -> bool:
     return any(c.isalpha() for c in word) and any(c.isdigit() for c in word)
 
 
+# the most words that the abbreviations may push for one whitespace-split word;
+# a KB whose expansions double at each level would otherwise push 2^depth
+MAX_EXPANSION_STEPS = 10**5
+
+
 def tokenize(kb: KnowledgeBase, text: str) -> list:
     """The cleaned words of `text`, in order."""
     words = []
@@ -65,14 +70,19 @@ def tokenize(kb: KnowledgeBase, text: str) -> list:
         # a word, else its edge-stripped form, expands as an abbreviation before the
         # mixed-alnum filter; its parts go on the stack in reverse, each with the
         # abbreviations it came from, none of which expands again: that cuts cycles
-        stack = [(raw.lower(), frozenset())]
+        stack, steps = [(raw.lower(), frozenset())], 0
         while stack:
             word, seen = stack.pop()
             stripped = word.strip(string.punctuation)
             form = word if word in kb.abbreviations and word not in seen else stripped
             if form in kb.abbreviations and form not in seen:
+                parts = kb.abbreviations[form].split()
+                steps += len(parts)
+                if steps > MAX_EXPANSION_STEPS:
+                    raise InconsistentKb(f"expanding abbreviation {form!r} takes more than"
+                                         f" {MAX_EXPANSION_STEPS} steps")
                 seen = seen | {form}
-                stack += [(part, seen) for part in reversed(kb.abbreviations[form].split())]
+                stack += [(part, seen) for part in reversed(parts)]
             elif stripped and not _is_mixed_alnum(stripped):
                 words.append(stripped)
     return words

@@ -149,7 +149,11 @@ def load_kb(path) -> KnowledgeBase:
     for key, value in data.get("abbreviations", {}).items():
         if not isinstance(key, str) or not key or not isinstance(value, str) or not value:
             raise MalformedKb(f"bad abbreviation entry {key!r}: {value!r}")
-        abbreviations[key.lower()] = value.lower()
+        lowered = _check_word(key.lower(), "abbreviation")  # words are matched lowercased
+        if lowered in abbreviations:
+            first = next(k for k in data["abbreviations"] if k.lower() == lowered)
+            raise InconsistentKb(f"abbreviations {first!r} and {key!r} both lowercase to {lowered!r}")
+        abbreviations[lowered] = value.lower()
 
     canonical = {surface: classes[cid][0] for surface, cid in surface_to_class.items()}
     return KnowledgeBase(canonical, quasi_links, stop_words, abbreviations)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import compress
 
@@ -111,11 +112,14 @@ def build_vocabulary(postings: Postings, threshold_mode) -> Vocabulary:
 
     totals = np.bincount(postings.term, postings.count, len(postings.terms)).tolist()
     terms = postings.terms
-    ranked = sorted(range(len(terms)), key=lambda i: (-totals[i], terms[i]))
-    if isinstance(threshold_mode, MinCount):
-        kept = [i for i in ranked if totals[i] >= threshold_mode.count]
+
+    def rank(i):  # descending total, ties lexicographic; no two terms tie on both
+        return -totals[i], terms[i]
+
+    if isinstance(threshold_mode, MinCount):  # only the terms kept are sorted
+        kept = sorted((i for i, n in enumerate(totals) if n >= threshold_mode.count), key=rank)
     elif isinstance(threshold_mode, TopN):
-        kept = ranked[: threshold_mode.n]
+        kept = heapq.nsmallest(threshold_mode.n, range(len(terms)), key=rank)
     else:
         raise TypeError(f"unsupported threshold mode {threshold_mode!r}")
     if not kept:

@@ -1,15 +1,18 @@
 """Test-only code: the brute-force ratio-cut oracle, a matrix builder by label, a KB writer,
-a Pajek reader, and reference versions of the tokenizer and the proposition agent."""
+a Pajek reader, and reference versions of the tokenizer, the proposition agent and the
+index store check."""
 
 import json
 import re
 import string
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from semindex.agents import TermStatus
+from semindex.agents import Routing, TermStatus
 from semindex.cocluster import Counts, TermDocMatrix
 from semindex.errors import EmptyMatrix
 from semindex.graphs import TermGraph
@@ -130,16 +133,19 @@ def parse_pajek(path) -> TermGraph:
     return TermGraph(tuple(labels), tuple(edges))
 
 
-def recursive_tokenize(kb, text: str) -> list:
-    """tokenize written as a recursion over each expansion; Python's recursion
-    limit bounds the chain depth it can take."""
+def recursive_tokenize(kb, text: str):
+    """tokenize written as a recursion over each expansion, with no bound on its
+    steps: (the words, the most expansion parts taken for one whitespace-split
+    word).  Python's recursion limit bounds the chain depth it can take."""
     out = []
+    steps = [0]
 
     def clean(word, seen):
         stripped = word.strip(string.punctuation)
         for form in (word, stripped):
             if form in kb.abbreviations and form not in seen:
                 for part in kb.abbreviations[form].split():
+                    steps[-1] += 1
                     clean(part, seen | {form})
                 return
         if stripped and not (any(c.isalpha() for c in stripped)
@@ -148,7 +154,8 @@ def recursive_tokenize(kb, text: str) -> list:
 
     for raw in text.split():
         clean(raw.lower(), frozenset())
-    return out
+        steps.append(0)
+    return out, max(steps)
 
 
 def set_proposition(kb, term_map: dict) -> dict:
@@ -162,3 +169,72 @@ def set_proposition(kb, term_map: dict) -> dict:
         and term in kb.quasi_links
         and not accepted.isdisjoint(kb.quasi_links[term])
     }
+
+
+STATUS_CODES = frozenset(s.value for s in TermStatus)
+ROUTING_CODES = frozenset(r.value for r in Routing)
+_N, _STATUS = itemgetter("n"), itemgetter("status")
+
+
+def reference_index_columns(documents):
+    """The index store check in two passes: the columns of the Index documents
+    after a check of the whole store at once, or, when that check fails, the
+    fault of the first malformed document in store order as a ValueError with
+    the message the store reader gave after the path (a missing key is not
+    named by its document)."""
+    try:
+        try:
+            return _whole_store_columns(documents)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            _first_fault(documents)
+            raise
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from None
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(str(exc)) from None
+
+
+def _whole_store_columns(documents):
+    routings, docs, lengths, terms, values, other = [], [], [], [], [], []
+    for doc_id, entry in sorted(documents.items()):
+        routing, doc_terms = entry["routing"], entry["terms"]
+        routings.append(routing)
+        if routing == Routing.INDEX.value:
+            docs.append(doc_id)
+            lengths.append(len(doc_terms))
+            terms += doc_terms
+            values += doc_terms.values()
+        else:
+            other += doc_terms.values()
+    counts, statuses = list(map(_N, values)), list(map(_STATUS, values))
+    if not (
+        set(map(type, chain(counts, map(_N, other)))) <= {int}
+        and STATUS_CODES.issuperset(chain(statuses, map(_STATUS, other)))
+        and ROUTING_CODES.issuperset(routings)
+    ):
+        raise ValueError("malformed index store")
+    return docs, lengths, terms, counts, statuses
+
+
+def _first_fault(documents) -> None:
+    if not isinstance(documents, dict):
+        raise ValueError("documents is not an object")
+    for doc_id, entry in documents.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"document {doc_id!r} is not an object")
+        routing, terms = entry["routing"], entry["terms"]
+        if not isinstance(terms, dict):
+            raise ValueError(f"document {doc_id!r}: terms is not an object")
+        for term, value in terms.items():
+            if not isinstance(value, dict):
+                raise ValueError(f"document {doc_id!r}: term {term!r} is not an object")
+        counts = [value["n"] for value in terms.values()]
+        statuses = [value["status"] for value in terms.values()]
+        if not set(map(type, counts)) <= {int}:
+            bad = next(n for n in counts if type(n) is not int)
+            raise ValueError(f"document {doc_id!r}: n = {bad!r} is not an integer")
+        bad = [s for s in statuses if type(s) is not str or s not in STATUS_CODES]
+        if bad:
+            raise ValueError(f"document {doc_id!r}: unknown term status {bad[0]!r}")
+        if type(routing) is not str or routing not in ROUTING_CODES:
+            raise ValueError(f"document {doc_id!r}: unknown routing {routing!r}")

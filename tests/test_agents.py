@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semindex import agents
+from semindex import agents, corpus
 from semindex.agents import (
     BlackboardEntry,
     Routing,
@@ -23,6 +23,7 @@ from semindex.agents import (
     write_blackboard,
 )
 from semindex.corpus import Document, tokenize
+from semindex.errors import InconsistentKb
 from semindex.kb import load_kb, quasi_synonyms
 
 from conftest import REPO, kb_file, make_kb
@@ -371,15 +372,25 @@ def test_proposition_agent_never_rescues_standardized_terms(tmp_path_factory, ca
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=word_kbs(), text=texts)
+@given(data=word_kbs(), text=texts, bound=st.integers(0, 4) | st.just(corpus.MAX_EXPANSION_STEPS))
 @example(
     data={"abbreviations": {"ab": "ba dock", "ba": "ab", "(u.s.)": "intl.", "intl.": "intl. ab",
                             "intl": "hbr, x1"}},
     text="AB (ba) (U.S.) u.s. Intl. intl hbr.",
+    bound=corpus.MAX_EXPANSION_STEPS,
 )  # "intl." reappears inside its own expansion, where its stripped form "intl" expands
-def test_tokenize_matches_recursive_reference(tmp_path_factory, data, text):
+@example(  # 3 parts: 2 for "ab", 1 for "ba", none for "ab" inside its own expansion
+    data={"abbreviations": {"ab": "ba dock", "ba": "ab"}}, text="x ab", bound=2)
+@example(data={"abbreviations": {"ab": "ba dock", "ba": "ab"}}, text="x ab", bound=3)
+def test_tokenize_matches_recursive_reference(tmp_path_factory, data, text, bound):
     kb = load_kb(kb_file(tmp_path_factory.mktemp("kb"), data))
-    assert tokenize(kb, text) == recursive_tokenize(kb, text)
+    words, steps = recursive_tokenize(kb, text)
+    with mock.patch.object(corpus, "MAX_EXPANSION_STEPS", bound):
+        if steps > bound:
+            with pytest.raises(InconsistentKb, match="expanding abbreviation"):
+                tokenize(kb, text)
+        else:
+            assert tokenize(kb, text) == words
 
 
 term_maps = st.dictionaries(

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from itertools import chain
 from xml.etree import ElementTree
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semindex import agents, cli, cocluster
+from semindex import agents, cli, cocluster, corpus
 from semindex.cli import Config, load_config, main, parse_threshold
 from semindex.errors import SemindexError
 from semindex.lexicon import MinCount, TopN
@@ -618,6 +619,19 @@ def test_index_expands_a_10000_deep_abbreviation_chain(tmp_path):
     assert _index(tmp_path, [("d1", "W0 port w9990.")]) == 0
     store = json.loads((tmp_path / "out" / "index_store.json").read_text(encoding="utf-8"))
     assert store["documents"]["d1"]["terms"] == {"port": {"n": 3, "status": "T"}}
+
+
+def test_index_stops_an_abbreviation_expansion_that_doubles_30_times(tmp_path, capsys):
+    depth = 30  # 2^30 words for x0 without the bound
+    abbreviations = {f"x{i}": f"x{i + 1} x{i + 1}" for i in range(depth)} | {f"x{depth}": "harbor"}
+    _port_kb(tmp_path / "kb.json", abbreviations=abbreviations)
+    start = time.perf_counter()
+    assert _index(tmp_path, [("d1", "port X0")]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: errors.InconsistentKb: expanding"
+                                                   " abbreviation 'x")
+    assert f"takes more than {corpus.MAX_EXPANSION_STEPS} steps" in err
 
 
 def _is_xml_char(c: str) -> bool:

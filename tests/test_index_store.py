@@ -1,6 +1,7 @@
 """The index store's writer and reader, and the postings that feed the matrix."""
 
 import contextlib
+import gc
 import io
 import json
 from collections import Counter
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 from semindex import cli
 from semindex.agents import IndexedDocument, Routing, TermStatus
 from semindex.cocluster import build_matrix
-from semindex.errors import EmptyMatrix, EmptyVocabulary
+from semindex.errors import EmptyMatrix, EmptyVocabulary, MalformedIndexStore
 from semindex.lexicon import MinCount, TopN, Vocabulary, build_vocabulary
 
 from conftest import dense
+from oracles import reference_index_columns
 
 # any Unicode but lone surrogates, which UTF-8 cannot encode
 any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
@@ -138,6 +140,14 @@ def outcome(fn, *args):
         return type(exc)
 
 
+# totals: c 3, then a, b and d tied at 2
+TIED_TOTALS = [
+    IndexedDocument("d1", {"d": (1, TermStatus.ACCEPTED), "c": (3, TermStatus.MORPH_ERROR),
+                           "a": (2, TermStatus.ACCEPTED), "b": (1, TermStatus.ACCEPTED)},
+                    Routing.INDEX),
+    IndexedDocument("d2", {"b": (1, TermStatus.MORPH_ERROR), "d": (1, TermStatus.ACCEPTED),
+                           "e": (1, TermStatus.ACCEPTED)}, Routing.INDEX),
+]
 thresholds = st.one_of(st.builds(MinCount, st.integers(0, 5)), st.builds(TopN, st.integers(0, 6)))
 
 
@@ -147,6 +157,8 @@ thresholds = st.one_of(st.builds(MinCount, st.integers(0, 5)), st.builds(TopN, s
     other=documents(st.sampled_from(["x1", "x2"]), few_terms),
     threshold=thresholds,
 )
+@example(docs=TIED_TOTALS, other=[], threshold=MinCount(2))
+@example(docs=TIED_TOTALS, other=[], threshold=TopN(2))
 def test_vocabulary_and_matrix_match_old_formulas(docs, other, threshold):
     postings = cli.index_postings(docs)
     docs.sort(key=lambda d: d.doc_id)  # the order the old formulas were given
@@ -221,10 +233,10 @@ D1, D2 = ("documents", "d1"), ("documents", "d2")
     (_edit((*D1, "terms", "port", "status"), []), "document 'd1': unknown term status []"),
     (_edit((*D1, "routing"), {}), "document 'd1': unknown routing {}"),
     (_edit(("documents",)), "missing key 'documents'"),
-    (_edit((*D1, "terms")), "missing key 'terms'"),
-    (_edit((*D2, "routing")), "missing key 'routing'"),
-    (_edit((*D1, "terms", "port", "n")), "missing key 'n'"),
-    (_edit((*D2, "terms", "quay", "n")), "missing key 'n'"),
+    (_edit((*D1, "terms")), "document 'd1': missing key 'terms'"),
+    (_edit((*D2, "routing")), "document 'd2': missing key 'routing'"),
+    (_edit((*D1, "terms", "port", "n")), "document 'd1': missing key 'n'"),
+    (_edit((*D2, "terms", "quay", "n")), "document 'd2': missing key 'n'"),
     (_edit((*D1, "terms", "port", "n"), 1.5), "n = 1.5 is not an integer"),
     (_edit((*D1, "terms", "port", "n"), "2"), "n = '2' is not an integer"),
     (_edit((*D2, "terms", "quay", "n"), True), "n = True is not an integer"),
@@ -308,3 +320,82 @@ def test_valid_index_store_is_read(tmp_path):
     path.write_text(json.dumps(valid_store()), encoding="utf-8")
     postings = cli.read_index_store(path)
     assert canonical(postings) == (("d1",), [("d1", "port", 2.0, True)])
+
+
+def test_read_leaves_the_cyclic_gc_enabled(tmp_path):
+    path = tmp_path / "index_store.json"
+    path.write_text(json.dumps(valid_store()), encoding="utf-8")
+    cli.read_index_store(path)
+    assert gc.isenabled()
+    for text in ("{", json.dumps(_edit((*D2, "routing"), "Maybe")(valid_store()))):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedIndexStore):
+            cli.read_index_store(path)
+        assert gc.isenabled()
+
+
+stored_docs = st.fixed_dictionaries({
+    "routing": st.sampled_from(sorted(cli.ROUTING_CODES)),
+    "terms": st.dictionaries(few_terms, st.fixed_dictionaries({
+        "n": st.integers(0, 4), "status": st.sampled_from(sorted(cli.STATUS_CODES))}), max_size=4),
+    "year": st.integers(1990, 2010),
+})
+
+
+def _paths(node, path=()):
+    """The key path of `node` and of every value below it, through objects."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, (*path, key))
+
+
+@st.composite
+def documents_objects(draw):
+    """A store's documents object, valid or with up to three values set or
+    deleted anywhere in it; its keys are in doc_id order."""
+    documents = draw(st.dictionaries(st.sampled_from(["d0", "d1", "d2", "d3"]), stored_docs,
+                                     max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(documents))))
+        value = draw(json_values | st.just(_DROP)) if path else draw(json_values)
+        documents = _edit(path, value)(documents)
+    return dict(sorted(documents.items())) if isinstance(documents, dict) else documents
+
+
+def columns_or_message(check, documents):
+    try:
+        return check(documents)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(documents=documents_objects())
+@example(documents={"d0": {"routing": "Discard", "terms": {"a": {"n": 1}}},
+                    "d1": {"routing": "Index", "terms": {"b": {"n": 1.5, "status": "T"}}}})
+@example(documents={"d0": {"routing": "Index", "terms": {"a": {"status": "T"}, "b": []}}})
+@example(documents={"d0": {"routing": "Maybe", "terms": {"a": {"n": "1", "status": "X"}}}})
+@example(documents={"d0": {"routing": "Maybe", "terms": {"a": {"n": 1, "status": "X"}}}})
+def test_one_pass_check_matches_two_pass_reference(documents):
+    new = columns_or_message(cli._index_columns, documents)
+    old = columns_or_message(reference_index_columns, documents)
+    if isinstance(old, str) and old.startswith("missing key "):
+        # the reference names no document: it is the first that faults on its own
+        doc_id = next(d for d in documents
+                      if isinstance(columns_or_message(reference_index_columns, {d: documents[d]}), str))
+        old = f"document {doc_id!r}: {old}"
+    assert new == old
+
+
+def test_store_out_of_doc_id_order_is_read_and_checked_in_doc_id_order(tmp_path):
+    path = tmp_path / "index_store.json"
+    term = {"port": {"n": 2, "status": "T"}}
+    documents = {"d2": {"routing": "Index", "terms": term, "year": 2009},
+                 "d1": {"routing": "Index", "terms": term, "year": 2009}}
+    path.write_text(json.dumps({"documents": documents}), encoding="utf-8")
+    assert cli.read_index_store(path).docs == ("d1", "d2")
+    documents["d2"]["routing"], documents["d1"]["routing"] = "Maybe", "Perhaps"
+    path.write_text(json.dumps({"documents": documents}), encoding="utf-8")
+    with pytest.raises(MalformedIndexStore, match="document 'd1': unknown routing 'Perhaps'"):
+        cli.read_index_store(path)

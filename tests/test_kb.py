@@ -273,10 +273,24 @@ def test_any_kb_loads_or_is_one_line_kb_error(tmp_path_factory, data):
     {"categories": [{"surface": "port\ufffe", "category": "noun"}]},
     {"classes": [{"id": "c", "canonical": "\x1bport", "members": ["\x1bport"], "quasi": []}],
      "categories": [{"surface": "\x1bport", "category": "noun"}]},
-], ids=["stop-word", "surface", "canonical"])
+    {"abbreviations": {"HBR\x01": "harbor"}},
+], ids=["stop-word", "surface", "canonical", "abbreviation"])
 def test_kb_word_outside_xml_chars_is_inconsistent(tmp_path, capsys, data):
     assert index_with_kb(kb_file(tmp_path, data), tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: errors.InconsistentKb: ") and err.count("\n") == 1
     assert "holds a character XML cannot" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("abbreviations, detail", [
+    ({"Intl.": "international", "intl.": "interior"},
+     "abbreviations 'Intl.' and 'intl.' both lowercase to 'intl.'"),
+    ({"a b": "ab"}, "abbreviation 'a b' contains whitespace"),
+    ({"   ": "blank"}, "abbreviation '   ' contains whitespace"),
+], ids=["lowercase-alike", "inner-space", "blank"])
+def test_bad_abbreviation_key_is_inconsistent(tmp_path, capsys, abbreviations, detail):
+    assert index_with_kb(kb_file(tmp_path, {"abbreviations": abbreviations}), tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: errors.InconsistentKb: ") and err.count("\n") == 1
+    assert detail in err
