@@ -41,14 +41,6 @@ class IndexedDocument:
     routing: Routing
 
 
-@dataclass(frozen=True)
-class BlackboardEntry:
-    doc_id: str
-    routing: Routing
-    year: int
-    terms: dict  # accepted canonical -> count
-
-
 def query_agent(term_map: dict, known_terms: set) -> bool:
     """Whether the document carries a term the system has never seen."""
     return not known_terms.issuperset(term_map)
@@ -79,15 +71,16 @@ def standardizing_agent(kb: KnowledgeBase, words) -> list:
 
 
 def proposition_agent(kb: KnowledgeBase, term_map: dict) -> dict:
-    """Accept the MorphError terms one quasi-synonym link from an accepted term; returns a new map.
+    """Accept the MorphError terms one quasi-synonym link from an accepted term.
 
-    The links are symmetric, so only the MorphError terms' own links are
+    Returns a new map when it rescues a term, else `term_map` itself.  The
+    links are symmetric, so only the MorphError terms' own links are
     looked up, in the map itself.  On standardizing's output no MorphError
     term is even linked: only canonicals are, every canonical normalizes to
     itself, and a MorphError term is a stem that failed that lookup, so it
     is never a canonical.  The stage is kept as the fifth of the paper's agents.
     """
-    return term_map | {
+    rescued = {
         term: (n, TermStatus.ACCEPTED)
         for term, (n, status) in term_map.items()
         if status is TermStatus.MORPH_ERROR
@@ -95,6 +88,7 @@ def proposition_agent(kb: KnowledgeBase, term_map: dict) -> dict:
         and any(term_map.get(q, (0, None))[1] is TermStatus.ACCEPTED
                 for q in quasi_synonyms(kb, term))
     }
+    return term_map | rescued if rescued else term_map
 
 
 def _cosine(a: dict, b: dict) -> float:
@@ -108,26 +102,27 @@ def _cosine(a: dict, b: dict) -> float:
 
 
 def relevance_agent(last_terms, accepted: dict, tau: float) -> bool:
-    """Whether the accepted counts lie within cosine `tau` of the last blackboard entry's.
+    """Whether the accepted counts lie within cosine `tau` of the last kept document's.
 
-    With no entry yet (`last_terms` None) every document is relevant.
+    With no document kept yet (`last_terms` None) every document is relevant.
     """
     return last_terms is None or _cosine(accepted, last_terms) >= tau
 
 
-def write_blackboard(entries, path) -> None:
-    """Serialize the blackboard entries as deterministic two-space-indented XML."""
+def write_blackboard(entries, path, years: dict) -> None:
+    """Serialize the kept documents, each with its year and its Accepted counts,
+    as deterministic two-space-indented XML."""
     # deferred: xml.sax pulls in urllib and email, which only this writer needs
     from xml.sax.saxutils import quoteattr
 
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<blackboard>"]
-    for entry in entries:
+    for doc in entries:
         lines.append(
-            f"  <doc id={quoteattr(entry.doc_id)} routing={quoteattr(entry.routing.value)} "
-            f"year={quoteattr(str(entry.year))}>"
+            f"  <doc id={quoteattr(doc.doc_id)} routing={quoteattr(doc.routing.value)} "
+            f"year={quoteattr(str(years[doc.doc_id]))}>"
         )
-        for term in sorted(entry.terms):
-            lines.append(f"    <term c={quoteattr(term)} n={quoteattr(str(entry.terms[term]))}/>")
+        for term, n in sorted((t, n) for t, (n, s) in doc.terms.items() if s is TermStatus.ACCEPTED):
+            lines.append(f"    <term c={quoteattr(term)} n={quoteattr(str(n))}/>")
         lines.append("  </doc>")
     lines.append("</blackboard>")
     write_text(path, "\n".join(lines) + "\n")
@@ -157,29 +152,29 @@ def process_document(kb: KnowledgeBase, doc, words: dict) -> dict:
 
 
 def run_pipeline(kb: KnowledgeBase, corpus, tau: float, reference_year: int):
-    """Route every document; return (indexed documents, blackboard entries), in corpus order.
+    """Route every document; return (indexed documents, kept documents), in corpus order.
 
     A document more than OBSOLESCENCE_YEARS older than `reference_year` is
     discarded; one with a term never seen before is indexed; any other is
-    stored only when relevant to the last entry, else discarded.  Every
-    document kept becomes an entry.
+    stored only when relevant to the last kept document, else discarded.
+    The kept (non-Discard) documents are the blackboard's entries.
     """
     known = set(kb.quasi_links)
     words = {}  # per call: another KB gives other terms
     documents, entries = [], []
+    last = None  # the accepted counts of the last kept document
     for doc in corpus:
         term_map = process_document(kb, doc, words)
-        accepted = {t: n for t, (n, s) in term_map.items() if s is TermStatus.ACCEPTED}
-        if reference_year - doc.year > OBSOLESCENCE_YEARS:
-            routing = Routing.DISCARD
-        elif query_agent(term_map, known):
-            routing = Routing.INDEX
-        elif relevance_agent(entries[-1].terms if entries else None, accepted, tau):
-            routing = Routing.STORE_ONLY
-        else:
-            routing = Routing.DISCARD
+        routing = Routing.DISCARD
+        if reference_year - doc.year <= OBSOLESCENCE_YEARS:
+            accepted = {t: n for t, (n, s) in term_map.items() if s is TermStatus.ACCEPTED}
+            if query_agent(term_map, known):
+                routing = Routing.INDEX
+            elif relevance_agent(last, accepted, tau):
+                routing = Routing.STORE_ONLY
         documents.append(IndexedDocument(doc.id, term_map, routing))
         if routing is not Routing.DISCARD:
-            entries.append(BlackboardEntry(doc.id, routing, doc.year, accepted))
+            entries.append(documents[-1])
             known.update(term_map)
+            last = accepted
     return documents, entries

@@ -169,7 +169,8 @@ def read_index_store(path) -> lexicon.Postings:
         store = json.loads(read_text(path))
         if not isinstance(store, dict):
             raise ValueError("the top level is not an object")
-        columns = _index_columns(store["documents"])
+        # popped, so the parsed tree is freed as the check returns
+        columns = _index_columns(store.pop("documents"))
     except KeyError as exc:
         raise MalformedIndexStore(f"{path}: missing key {exc}") from None
     except (RecursionError, ValueError) as exc:
@@ -216,8 +217,8 @@ def cmd_index(config: Config) -> list:
     except ValueError as exc:  # a NUL byte in the path
         raise SemindexError(f"cannot create out_dir {out}: {exc}") from None
     indexed, entries = agents.run_pipeline(kb, corpus, config.tau, config.reference_year)
-    agents.write_blackboard(entries, out / "blackboard.xml")
     years = {doc.id: doc.year for doc in corpus}
+    agents.write_blackboard(entries, out / "blackboard.xml", years)
     write_index_store(indexed, years, out / "index_store.json")
     return indexed
 

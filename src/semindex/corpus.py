@@ -18,13 +18,13 @@ from .kb import NOT_XML_CHAR, KnowledgeBase
 @dataclass(frozen=True)
 class Document:
     id: str
-    title: str
     year: int
     text: str
 
 
 def ingest(paths) -> list:
-    """Read document files in the given order; duplicate ids are rejected."""
+    """Read document files in the given order; duplicate ids are rejected.
+    The title header is required, then dropped: nothing reads it."""
     docs = []
     seen = set()
     for path in paths:
@@ -50,7 +50,7 @@ def ingest(paths) -> list:
         if doc_id in seen:
             raise DuplicateId(f"{path}: duplicate document id {doc_id!r}")
         seen.add(doc_id)
-        docs.append(Document(doc_id, fields["title"], year, body))
+        docs.append(Document(doc_id, year, body))
     return docs
 
 

@@ -226,7 +226,7 @@ def _random_documents(kb, count, rng):
     for n in range(count):
         words = rng.choice(pool, size=int(rng.integers(3, 25)))
         year = int(rng.integers(1998, 2011))
-        docs.append(Document(f"r{n:04d}", f"r{n:04d}", year, " ".join(words)))
+        docs.append(Document(f"r{n:04d}", year, " ".join(words)))
     return docs
 
 
@@ -246,13 +246,13 @@ def test_criterion_6_pipeline_invariants(tmp_path):
             assert all(s is not TermStatus.INITIAL for _, s in result.terms.values())
             if 2010 - doc.year > 5:
                 assert result.routing is Routing.DISCARD
-        assert len(entries) == sum(
-            1 for r in indexed if r.routing is not Routing.DISCARD
-        )
+        kept = [r for r in indexed if r.routing is not Routing.DISCARD]
+        assert len(entries) == len(kept) and all(e is r for e, r in zip(entries, kept))
         indexed2, entries2 = run_pipeline(kb, docs, 0.2, 2010)
+        years = {doc.id: doc.year for doc in docs}
         a, b = tmp_path / "a.xml", tmp_path / "b.xml"
-        write_blackboard(entries, a)
-        write_blackboard(entries2, b)
+        write_blackboard(entries, a, years)
+        write_blackboard(entries2, b, years)
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from semindex import agents, corpus
 from semindex.agents import (
-    BlackboardEntry,
+    IndexedDocument,
     Routing,
     TermStatus,
     process_document,
@@ -31,6 +31,7 @@ from oracles import recursive_tokenize, set_proposition
 
 I = TermStatus.INITIAL
 T = TermStatus.ACCEPTED
+F = TermStatus.REJECTED
 J = TermStatus.MORPH_ERROR
 
 
@@ -104,13 +105,18 @@ def test_standardizing_agent_drops_stop_and_short(kb):
 
 
 def test_proposition_agent_rescues_quasi_synonym(kb):
-    out = proposition_agent(kb, {"wharf": (1, J), "dock": (1, T)})
+    term_map = {"wharf": (1, J), "dock": (1, T)}
+    out = proposition_agent(kb, term_map)
     assert list(out.items()) == [("wharf", (1, T)), ("dock", (1, T))]
+    assert term_map == {"wharf": (1, J), "dock": (1, T)}  # a new map: the argument is kept
 
 
 def test_proposition_agent_no_links(kb):
-    assert proposition_agent(kb, {"xyz": (1, J)}) == {"xyz": (1, J)}
-    assert proposition_agent(kb, {}) == {}
+    # with nothing rescued the argument itself comes back, not a copy
+    for term_map in ({"xyz": (1, J)}, {"wharf": (1, J), "port": (2, T)}, {}):
+        expected = dict(term_map)
+        assert proposition_agent(kb, term_map) is term_map
+        assert term_map == expected
 
 
 def test_term_map_merges_then_rescues(kb):
@@ -139,7 +145,7 @@ def test_relevance_agent_orthogonal_is_irrelevant():
 
 
 def doc_from_text(doc_id, text, year=2010):
-    return Document(doc_id, doc_id, year, text)
+    return Document(doc_id, year, text)
 
 
 def test_pipeline_first_document_indexed(kb):
@@ -157,6 +163,23 @@ def test_pipeline_duplicate_stored_only(kb):
     assert docs[0].routing is Routing.INDEX
     assert docs[1].routing is Routing.STORE_ONLY
     assert [e.doc_id for e in entries] == ["d1", "d2"]
+
+
+def test_entries_are_the_kept_documents(kb):
+    corpus = [
+        doc_from_text("d1", "port wharf saturation"),  # Index: every term is new
+        doc_from_text("d2", "port freight", year=2001),  # Discard: too old, though freight is new
+        doc_from_text("d3", "port wharf saturation"),  # StoreOnly: relevant to d1
+        doc_from_text("d4", "dock"),  # Discard: orthogonal to d3
+        doc_from_text("d5", "wharf port"),  # StoreOnly: compared with d3, not d4
+        doc_from_text("d6", "dock cargo"),  # Index: cargo is new
+    ]
+    docs, entries = run_pipeline(kb, corpus, 0.2, 2010)
+    routings = [d.routing for d in docs]
+    assert routings == [Routing.INDEX, Routing.DISCARD, Routing.STORE_ONLY,
+                        Routing.DISCARD, Routing.STORE_ONLY, Routing.INDEX]
+    kept = [d for d in docs if d.routing is not Routing.DISCARD]
+    assert len(entries) == len(kept) and all(e is d for e, d in zip(entries, kept))
 
 
 def test_pipeline_obsolete_discarded(kb):
@@ -188,9 +211,11 @@ def test_candidate_order_does_not_matter(kb):
 
 
 def test_blackboard_xml_format(tmp_path):
-    entries = [BlackboardEntry("d1", Routing.INDEX, 2009, {"port": 2, "cargo": 1})]
+    # only Accepted terms are written, sorted; the year comes from `years`
+    terms = {"port": (2, T), "mystery": (3, J), "quay": (1, F), "cargo": (1, T)}
+    entries = [IndexedDocument("d1", terms, Routing.INDEX)]
     path = tmp_path / "board.xml"
-    write_blackboard(entries, path)
+    write_blackboard(entries, path, {"d1": 2009, "d2": 2001})
     assert path.read_bytes() == (
         b'<?xml version="1.0" encoding="UTF-8"?>\n'
         b"<blackboard>\n"
@@ -204,10 +229,11 @@ def test_blackboard_xml_format(tmp_path):
 
 def test_blackboard_write_is_deterministic(kb, tmp_path):
     corpus = [doc_from_text("d1", "port dock cargo mystery"), doc_from_text("d2", "harbor wharf")]
+    years = {doc.id: doc.year for doc in corpus}
     outputs = []
     for name in ("a.xml", "b.xml"):
         _, entries = run_pipeline(kb, corpus, 0.2, 2010)
-        write_blackboard(entries, tmp_path / name)
+        write_blackboard(entries, tmp_path / name, years)
         outputs.append((tmp_path / name).read_bytes())
     assert outputs[0] == outputs[1]
 
@@ -276,7 +302,7 @@ texts = st.lists(st.tuples(raw_words, st.sampled_from([" ", "  ", "\n", "\t"])),
     lambda pairs: "".join(w + sep for w, sep in pairs)
 )
 corpora = st.lists(st.tuples(texts, st.integers(2002, 2010)), min_size=1, max_size=6).map(
-    lambda docs: [Document(f"d{i}", "t", year, text) for i, (text, year) in enumerate(docs)]
+    lambda docs: [Document(f"d{i}", year, text) for i, (text, year) in enumerate(docs)]
 )
 
 
@@ -291,7 +317,7 @@ def _observable(result):
     docs, entries = result
     return (
         [(d.doc_id, list(d.terms.items()), d.routing) for d in docs],
-        [(e.doc_id, e.routing, e.year, list(e.terms.items())) for e in entries],
+        [(e.doc_id, list(e.terms.items()), e.routing) for e in entries],
     )
 
 
@@ -305,8 +331,8 @@ def _observable(result):
         "stop_words": ["the"],
         "abbreviations": {"intl.": "harbor", "hbr": "harbor", "ab": "ba dock", "ba": "ab"},
     },
-    corpus=[Document("d0", "t", 2010, "Intl. intl (hbr), HBR ab BA! b2b 1492 q The harbors."),
-            Document("d1", "t", 2009, "intl INTL. ab ba")],
+    corpus=[Document("d0", 2010, "Intl. intl (hbr), HBR ab BA! b2b 1492 q The harbors."),
+            Document("d1", 2009, "intl INTL. ab ba")],
     tau=0.2,
 )
 def test_memo_matches_per_token_chain(tmp_path_factory, data, corpus, tau):
@@ -315,6 +341,9 @@ def test_memo_matches_per_token_chain(tmp_path_factory, data, corpus, tau):
     with mock.patch.object(agents, "process_document", per_token_chain):
         reference = run_pipeline(kb, corpus, tau, 2010)
     assert _observable(memoized) == _observable(reference)
+    docs, entries = memoized
+    kept = [d for d in docs if d.routing is not Routing.DISCARD]
+    assert len(entries) == len(kept) and all(e is d for e, d in zip(entries, kept))
 
 
 def test_memo_is_scoped_to_one_run(tmp_path):
@@ -328,7 +357,7 @@ def test_memo_is_scoped_to_one_run(tmp_path):
     for kb, canonical in zip(kbs + kbs, ["port", "haven"] * 2):
         docs, entries = run_pipeline(kb, corpus, 0.2, 2010)
         assert docs[0].terms == {canonical: (3, T)}
-        assert entries[0].terms == {canonical: 3}
+        assert [(e.doc_id, e.terms) for e in entries] == [("d1", {canonical: (3, T)})]
 
 
 @st.composite
@@ -368,7 +397,7 @@ def test_proposition_agent_never_rescues_standardized_terms(tmp_path_factory, ca
     data, candidates = case
     kb = load_kb(kb_file(tmp_path_factory.mktemp("kb"), data))
     term_map = merged(standardizing_agent(kb, candidates))
-    assert proposition_agent(kb, term_map) == term_map
+    assert proposition_agent(kb, term_map) is term_map
 
 
 @settings(max_examples=300, deadline=None)

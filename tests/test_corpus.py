@@ -28,7 +28,7 @@ def test_ingest_preserves_order(tmp_path):
     b = write_doc(tmp_path / "b.txt", "b")
     corpus = ingest([a, b])
     assert [d.id for d in corpus] == ["a", "b"]
-    assert corpus[0] == Document("a", "t", 2009, "some text\n")
+    assert corpus[0] == Document("a", 2009, "some text\n")
 
 
 def test_ingest_duplicate_id(tmp_path):
@@ -41,6 +41,14 @@ def test_ingest_missing_year(tmp_path):
     path = tmp_path / "a.txt"
     path.write_text("id: a\ntitle: t\n\nbody", encoding="utf-8")
     with pytest.raises(MissingMetadata):
+        ingest([path])
+
+
+def test_ingest_missing_title(tmp_path):
+    # the title is checked, though no Document keeps it
+    path = tmp_path / "a.txt"
+    path.write_text("id: a\nyear: 2009\n\nbody", encoding="utf-8")
+    with pytest.raises(MissingMetadata, match=r"a\.txt: missing 'title' header$"):
         ingest([path])
 
 

@@ -5,7 +5,8 @@ and digests every file they write there, plus what they print.  The inputs
 are the mini corpus and small seeded inputs from the benchmark's generator
 (`bench/generate.py`, imported from its directory).  The recluster store of
 800 documents and 1500 terms lies above the dense-SVD cutoff, the balanced
-store below it.  Those two stores are also run as `python -m semindex`
+store below it; one test runs every case with the cutoff at 0, so each SVD
+goes through ARPACK and must give the same digests.  Those two stores are also run as `python -m semindex`
 children with `OPENBLAS_NUM_THREADS` unset, so the thread count the CLI
 sets for OpenBLAS is pinned too.  The benchmark's tracer
 (`bench/tracing.py`) is imported the same way, to check that every
@@ -115,6 +116,16 @@ def assert_golden(case: str, got: dict) -> None:
 @pytest.mark.parametrize("case", list(CASES))
 def test_outputs_match_golden_digests(case, tmp_path):
     assert_golden(case, run_case(case, tmp_path))
+
+
+# with no matrix small enough for dense LAPACK, every case's SVD runs through
+# ARPACK: the nearest offline check that another solver build keeps the digests
+def test_outputs_match_golden_digests_through_arpack(tmp_path, monkeypatch):
+    monkeypatch.setattr(cocluster, "_DENSE_ENTRIES", 0)
+    for case in CASES:
+        work = tmp_path / case.replace("/", "-")
+        work.mkdir()
+        assert_golden(case, run_case(case, work))
 
 
 # the ARPACK and the dense SVD path, each in a process whose BLAS the CLI set up
